@@ -3,10 +3,10 @@
    This module is the root substitution of the reproduction (DESIGN.md §1):
    it stands in for SEV/TDX/SGX memory protection. Pages are either
    [Private] (guest-only; host access faults, modelling memory encryption +
-   RMP/EPT protection) or [Shared] (host-visible bounce/ring memory). Every
-   access is logged so experiments can (a) detect double fetches from
-   shared memory, (b) measure what the host could observe, and (c) verify
-   that a driver never dereferences unvalidated host-controlled state. *)
+   RMP/EPT protection) or [Shared] (host-visible bounce/ring memory).
+   Accesses are checked, not recorded: the only double-fetch detector is
+   the opt-in per-epoch sanitizer below, and the adversary hooks let the
+   attack harness race the guest between two fetches. *)
 
 open Cio_util
 module Metrics = Cio_telemetry.Metrics
@@ -33,11 +33,7 @@ let pp_fault ppf = function
 
 exception Fault of fault
 
-type event =
-  | Read of { actor : actor; off : int; len : int }
-  | Write of { actor : actor; off : int; len : int }
-  | Share_page of int
-  | Unshare_page of int
+type event = |
 
 type t = {
   name : string;
@@ -46,11 +42,6 @@ type t = {
   prot : prot array;
   meter : Cost.meter;
   model : Cost.model;
-  mutable log : event list;  (* newest first *)
-  mutable log_enabled : bool;
-  mutable txn : (int * int * string) list option;
-      (* open double-fetch transaction: guest reads of shared memory as
-         (off, len, content-at-read-time) *)
   mutable host_write_hook : (off:int -> len:int -> unit) option;
   mutable guest_read_hook : (off:int -> len:int -> unit) option;
       (* fired after each guest read of shared memory: lets the attack
@@ -60,10 +51,9 @@ type t = {
          shared memory is checked against the epoch's earlier fetches *)
 }
 
-(* Runtime double-fetch sanitizer state. Unlike a [txn] (opened by the
-   *code under test* around one logical parse), the sanitizer is armed
-   from the outside — by a test or fault campaign — and watches code that
-   never asked to be watched. An epoch is one logical parse (one poll);
+(* Runtime double-fetch sanitizer state. The sanitizer is armed from the
+   outside — by a test or fault campaign — and watches code that never
+   asked to be watched. An epoch is one logical parse (one poll);
    re-reading an index across epochs is legitimate, re-reading inside one
    is the Fig. 3/4 double fetch. *)
 and san = {
@@ -85,9 +75,6 @@ let create ?(page_size = 4096) ?(prot = Shared) ?(model = Cost.default) ?meter ~
     prot = Array.make pages prot;
     meter = (match meter with Some m -> m | None -> Cost.meter ());
     model;
-    log = [];
-    log_enabled = true;
-    txn = None;
     host_write_hook = None;
     guest_read_hook = None;
     san = None;
@@ -100,11 +87,7 @@ let page_count t = Array.length t.prot
 let meter t = t.meter
 let model t = t.model
 
-let set_logging t flag = t.log_enabled <- flag
-let clear_log t = t.log <- []
-let events t = List.rev t.log
-
-let log t e = if t.log_enabled then t.log <- e :: t.log
+let events _ = []
 
 let page_of t off = off / t.page_size
 
@@ -159,54 +142,38 @@ let san_note t ~off ~len =
         s.s_fetches;
       s.s_fetches <- (off, len, snap) :: s.s_fetches
 
+(* The read path proper, after [check_access] has passed. The sanitizer
+   captures the fetch first; the read hook fires after the value is
+   copied out, so the *next* fetch observes any mutation the hook
+   performs. *)
+let fetch t actor ~off dst =
+  let len = Bytes.length dst in
+  let watched =
+    match actor with Guest -> len > 0 && range_shared t off len | Host -> false
+  in
+  if watched then san_note t ~off ~len;
+  Bytes.blit t.data off dst 0 len;
+  match t.guest_read_hook with Some hook when watched -> hook ~off ~len | _ -> ()
+
+(* [read_into] fills a caller-provided buffer — the allocation-free
+   consume path; [read] checks before allocating so a bad length faults
+   rather than failing inside [Bytes.create]. *)
+let read_into t actor ~off dst =
+  check_access t actor off (Bytes.length dst) ~write:false;
+  fetch t actor ~off dst
+
 let read t actor ~off ~len =
   check_access t actor off len ~write:false;
-  log t (Read { actor; off; len });
-  (match (actor, t.txn) with
-  | Guest, Some reads when len > 0 && range_shared t off len ->
-      t.txn <- Some ((off, len, Bytes.sub_string t.data off len) :: reads)
-  | _ -> ());
-  (match actor with
-  | Guest when len > 0 && range_shared t off len -> san_note t ~off ~len
-  | _ -> ());
-  let result = Bytes.sub t.data off len in
-  (match (actor, t.guest_read_hook) with
-  | Guest, Some hook when len > 0 && range_shared t off len ->
-      (* Fire after the value is captured so the *next* fetch observes any
-         mutation the hook performs. *)
-      hook ~off ~len
-  | _ -> ());
-  result
+  let dst = Bytes.create len in
+  fetch t actor ~off dst;
+  dst
 
 let write t actor ~off src =
   let len = Bytes.length src in
   check_access t actor off len ~write:true;
-  log t (Write { actor; off; len });
   Bytes.blit src 0 t.data off len;
   match (actor, t.host_write_hook) with
   | Host, Some hook -> hook ~off ~len
-  | _ -> ()
-
-(* Blit-into variant of [read]: identical checks, logging, transaction
-   capture and hook ordering, but fills a caller-provided buffer instead
-   of allocating — the allocation-free consume path. *)
-let read_into t actor ~off dst =
-  let len = Bytes.length dst in
-  check_access t actor off len ~write:false;
-  log t (Read { actor; off; len });
-  (match (actor, t.txn) with
-  | Guest, Some reads when len > 0 && range_shared t off len ->
-      t.txn <- Some ((off, len, Bytes.sub_string t.data off len) :: reads)
-  | _ -> ());
-  (match actor with
-  | Guest when len > 0 && range_shared t off len -> san_note t ~off ~len
-  | _ -> ());
-  Bytes.blit t.data off dst 0 len;
-  match (actor, t.guest_read_hook) with
-  | Guest, Some hook when len > 0 && range_shared t off len ->
-      (* Fire after the value is captured so the *next* fetch observes any
-         mutation the hook performs. *)
-      hook ~off ~len
   | _ -> ()
 
 let guest_read t ~off ~len = read t Guest ~off ~len
@@ -262,8 +229,7 @@ let share_page t page =
     invalid_arg "Region.share_page: bad page";
   if t.prot.(page) <> Shared then begin
     t.prot.(page) <- Shared;
-    Cost.charge t.meter Cost.Share t.model.Cost.page_share;
-    log t (Share_page page)
+    Cost.charge t.meter Cost.Share t.model.Cost.page_share
   end
 
 let unshare_page t page =
@@ -271,8 +237,7 @@ let unshare_page t page =
     invalid_arg "Region.unshare_page: bad page";
   if t.prot.(page) <> Private then begin
     t.prot.(page) <- Private;
-    Cost.charge t.meter Cost.Unshare t.model.Cost.page_unshare;
-    log t (Unshare_page page)
+    Cost.charge t.meter Cost.Unshare t.model.Cost.page_unshare
   end
 
 (* Range variants are batched: one shootdown/hypercall covers the whole
@@ -286,8 +251,7 @@ let share_range t ~off ~len =
     for p = first to last do
       if t.prot.(p) <> Shared then begin
         t.prot.(p) <- Shared;
-        incr changed;
-        log t (Share_page p)
+        incr changed
       end
     done;
     if !changed > 0 then
@@ -302,8 +266,7 @@ let unshare_range t ~off ~len =
     for p = first to last do
       if t.prot.(p) <> Private then begin
         t.prot.(p) <- Private;
-        incr changed;
-        log t (Unshare_page p)
+        incr changed
       end
     done;
     if !changed > 0 then
@@ -327,56 +290,6 @@ let copy_in_into t ~off dst =
 let copy_out t ~off src =
   guest_write t ~off src;
   Cost.charge t.meter Cost.Copy (Cost.copy_cost t.model (Bytes.length src))
-
-(* Double-fetch transactions. The guest brackets one logical parse of
-   host-writable data with [begin_txn]/[end_txn]; any shared range read
-   twice inside the bracket is a double-fetch hazard, and it is *exploited*
-   if the bytes changed between the two reads (i.e. the host raced the
-   parser). *)
-
-type hazard = { off : int; len : int; mutated : bool }
-
-let begin_txn t =
-  if t.txn <> None then invalid_arg "Region.begin_txn: transaction already open";
-  t.txn <- Some []
-
-let end_txn t =
-  match t.txn with
-  | None -> invalid_arg "Region.end_txn: no open transaction"
-  | Some reads ->
-      t.txn <- None;
-      let reads = List.rev reads in
-      let hazards = ref [] in
-      let rec scan = function
-        | [] -> ()
-        | (off, len, content) :: rest ->
-            List.iter
-              (fun (off2, len2, content2) ->
-                if ranges_overlap (off, len) (off2, len2) then begin
-                  let mutated =
-                    (* compare the overlapping window of the two reads *)
-                    let lo = max off off2 and hi = min (off + len) (off2 + len2) in
-                    let w1 = String.sub content (lo - off) (hi - lo) in
-                    let w2 = String.sub content2 (lo - off2) (hi - lo) in
-                    not (String.equal w1 w2)
-                  in
-                  hazards := { off = off2; len = len2; mutated } :: !hazards
-                end)
-              rest;
-            scan rest
-      in
-      scan reads;
-      List.rev !hazards
-
-let with_txn t f =
-  begin_txn t;
-  match f () with
-  | v ->
-      let hazards = end_txn t in
-      (v, hazards)
-  | exception e ->
-      ignore (end_txn t);
-      raise e
 
 let set_host_write_hook t hook = t.host_write_hook <- hook
 let set_guest_read_hook t hook = t.guest_read_hook <- hook

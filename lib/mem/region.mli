@@ -1,8 +1,10 @@
-(** Simulated TEE memory: byte regions with per-page protection, access
-    logging, page sharing/revocation, and double-fetch transactions.
+(** Simulated TEE memory: byte regions with per-page protection, page
+    sharing/revocation, metered copies, adversary hooks and an opt-in
+    runtime double-fetch sanitizer.
 
     Stands in for SEV/TDX/SGX memory protection (DESIGN.md §1): [Private]
-    pages fault on host access; [Shared] pages model bounce/ring memory. *)
+    pages fault on host access; [Shared] pages model bounce/ring memory.
+    Accesses are checked but not recorded. *)
 
 open Cio_util
 
@@ -20,11 +22,8 @@ val pp_fault : Format.formatter -> fault -> unit
 
 exception Fault of fault
 
-type event =
-  | Read of { actor : actor; off : int; len : int }
-  | Write of { actor : actor; off : int; len : int }
-  | Share_page of int
-  | Unshare_page of int
+type event = |
+(** Uninhabited: see {!events}. *)
 
 type t
 
@@ -47,11 +46,9 @@ val page_count : t -> int
 val meter : t -> Cost.meter
 val model : t -> Cost.model
 
-val set_logging : t -> bool -> unit
-val clear_log : t -> unit
-
 val events : t -> event list
-(** Oldest first. *)
+(** Always [[]]: the region keeps no access log. The accessor exists only
+    for the benchmark probe that reports events per frame. *)
 
 val page_of : t -> int -> int
 val prot_of_page : t -> int -> prot
@@ -68,8 +65,8 @@ val host_write : t -> off:int -> bytes -> unit
 
 val guest_read_into : t -> off:int -> bytes -> unit
 (** [guest_read_into t ~off dst] reads [Bytes.length dst] bytes at [off]
-    into [dst] — same checks, logging, transaction capture and read-hook
-    ordering as {!guest_read}, without allocating. *)
+    into [dst] — same checks, sanitizer capture and read-hook ordering as
+    {!guest_read}, without allocating. *)
 
 val host_read_into : t -> off:int -> bytes -> unit
 
@@ -101,18 +98,6 @@ val copy_in_into : t -> off:int -> bytes -> unit
 val copy_out : t -> off:int -> bytes -> unit
 (** Guest publish of private bytes; charges [Copy]. *)
 
-(** {1 Double-fetch transactions} *)
-
-type hazard = { off : int; len : int; mutated : bool }
-
-val begin_txn : t -> unit
-
-val end_txn : t -> hazard list
-(** Shared ranges the guest read more than once inside the bracket;
-    [mutated] marks reads whose bytes changed in between (a host race). *)
-
-val with_txn : t -> (unit -> 'a) -> 'a * hazard list
-
 val set_host_write_hook : t -> (off:int -> len:int -> unit) option -> unit
 (** Install an adversary callback fired after every host write (used by
     the attack harness to interleave mutations deterministically). *)
@@ -123,11 +108,11 @@ val set_guest_read_hook : t -> (off:int -> len:int -> unit) option -> unit
 
 (** {1 Runtime double-fetch sanitizer}
 
-    The dynamic counterpart of cio_lint's DF rule. Unlike a transaction
-    (opened by the code under test), the sanitizer is armed from the
-    outside — by a test or fault campaign — and watches code that never
-    asked to be watched: every guest fetch of a shared range is compared
-    against the current epoch's earlier fetches, and overlaps bump the
+    The dynamic counterpart of cio_lint's DF rule, and the region's only
+    double-fetch detector. It is armed from the outside — by a test or
+    fault campaign — and watches code that never asked to be watched:
+    every guest fetch of a shared range is compared against the current
+    epoch's earlier fetches, and overlaps bump the
     [mem.sanitizer.double_fetch] (and, when the bytes changed in between,
     [mem.sanitizer.double_fetch_mutated]) counters in
     {!Cio_telemetry.Metrics.default}. When disabled the cost is a single

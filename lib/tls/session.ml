@@ -18,12 +18,14 @@ type error =
   | Bad_format of string
   | Bad_state of string
   | Peer_alert
+  | Payload_too_large of int  (* refused before sealing: over Wire.max_plaintext *)
 
 let error_to_string = function
   | Auth_failed -> "authentication failed (tamper/replay/reorder)"
   | Bad_format s -> "malformed input: " ^ s
   | Bad_state s -> "protocol state violation: " ^ s
   | Peer_alert -> "peer sent fatal alert"
+  | Payload_too_large n -> Printf.sprintf "payload of %d B exceeds %d B" n Wire.max_plaintext
 
 type state =
   | Start
@@ -91,6 +93,14 @@ let send_keys t (k : Keys.t) =
 
 let recv_keys t (k : Keys.t) =
   match t.role with Client -> k.Keys.server | Server -> k.Keys.client
+
+let ratchet t =
+  match t.keys with
+  | Some k ->
+      t.keys <- Some (Keys.rekey k);
+      t.send_seq <- 0L;
+      t.recv_seq <- 0L
+  | None -> ()
 
 let charge_aead t nbytes = Cost.charge t.meter Cost.Crypto (Cost.aead_cost t.model nbytes)
 
@@ -267,32 +277,24 @@ let process_record t (r : Wire.record) =
           | Ok () ->
               t.state <- Established;
               Ok ([], [])))
-  | Established, Wire.Data -> (
-      match open_record t r with Ok pt -> Ok ([], [ pt ]) | Error e -> Error e)
+  | Established, Wire.Data -> Result.map (fun pt -> ([], [ pt ])) (open_record t r)
   | Established, Wire.Rekey -> (
       match open_record t r with
       | Error e -> Error e
       | Ok _ ->
-          (match t.keys with
-          | Some k ->
-              t.keys <- Some (Keys.rekey k);
-              t.send_seq <- 0L;
-              t.recv_seq <- 0L
-          | None -> ());
+          ratchet t;
           Ok ([], []))
   | _, Wire.Alert -> Error Peer_alert
-  | st, ct ->
-      ignore st;
+  | _, ct ->
       Error (Bad_state (Printf.sprintf "unexpected %s record" (Wire.content_name ct)))
 
 let feed t stream_bytes =
   if t.state = Dead then { no_result with err = t.last_error }
   else begin
     match Wire.feed t.splitter stream_bytes with
-    | Wire.Malformed e -> (
-        match die t (Bad_format e) with
-        | Error err -> { no_result with err = Some err }
-        | Ok _ -> assert false)
+    | Wire.Malformed e ->
+        ignore (die t (Bad_format e));
+        { no_result with err = t.last_error }
     | Wire.Records records ->
         let outputs = ref [] and app = ref [] and err = ref None in
         let rec go = function
@@ -313,6 +315,8 @@ let feed t stream_bytes =
 
 let send_data t payload =
   match t.state with
+  | Established when Bytes.length payload > Wire.max_plaintext ->
+      Error (Payload_too_large (Bytes.length payload))
   | Established -> seal_record t ~ctype:Wire.Data payload
   | _ -> Error (Bad_state "not established")
 
@@ -322,12 +326,7 @@ let initiate_rekey t =
       match seal_record t ~ctype:Wire.Rekey Bytes.empty with
       | Error e -> Error e
       | Ok record ->
-          (match t.keys with
-          | Some k ->
-              t.keys <- Some (Keys.rekey k);
-              t.send_seq <- 0L;
-              t.recv_seq <- 0L
-          | None -> ());
+          ratchet t;
           Ok record)
   | _ -> Error (Bad_state "not established")
 

@@ -11,6 +11,7 @@ type error =
   | Bad_format of string
   | Bad_state of string
   | Peer_alert
+  | Payload_too_large of int
 
 val error_to_string : error -> string
 
@@ -48,7 +49,9 @@ val feed : t -> bytes -> feed_result
 (** Process stream bytes from the (untrusted) transport. *)
 
 val send_data : t -> bytes -> (bytes, error) result
-(** Seal one application payload into wire bytes. *)
+(** Seal one application payload into wire bytes. A payload over
+    {!Wire.max_plaintext} bytes is refused with [Payload_too_large] before
+    any sequence number is used or any cost is charged. *)
 
 val initiate_rekey : t -> (bytes, error) result
 (** Switch both directions to the next key generation. Both peers must be

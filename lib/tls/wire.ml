@@ -24,7 +24,8 @@ let content_name = function
   | Rekey -> "rekey"
 
 let header_len = 4
-let max_body = 16384 + 256  (* plaintext limit + AEAD expansion headroom *)
+let max_plaintext = 16384
+let max_body = max_plaintext + 256  (* AEAD expansion headroom *)
 
 type record = { ctype : content_type; body : bytes }
 

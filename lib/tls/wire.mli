@@ -8,6 +8,9 @@ val content_of_code : int -> content_type option
 val content_name : content_type -> string
 
 val header_len : int
+val max_plaintext : int
+(** Largest payload one record carries. *)
+
 val max_body : int
 
 type record = { ctype : content_type; body : bytes }

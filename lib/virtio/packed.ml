@@ -9,7 +9,7 @@
    the element with its own id/len and both bits set to the device's wrap
    counter. Compared to the split format this halves the shared-memory
    footprint and touches one cacheline per descriptor — and creates
-   hazards the split format does not have:
+   risks the split format does not have:
 
    - driver- and device-owned state share a word (flags), so ownership is
      a *convention*, not a layout property;

@@ -1,5 +1,5 @@
 (** Packed virtqueue (VirtIO 1.1): the standard's second transport format,
-    with its own hazard set (shared flag words, wrap-counter confusion,
+    with its own attack surface (shared flag words, wrap-counter confusion,
     in-place completion rewrites) and correspondingly different hardening
     inventory — the §2.5 "each format has unique hardening needs"
     observation, made executable. *)

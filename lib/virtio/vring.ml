@@ -49,7 +49,7 @@ let region t = t.region
 
 (* Deliberately *not* wrapped: a descriptor index is data (a buffer id),
    not a ring position. An out-of-range id computes an out-of-range offset
-   and the region decides what that means — exactly the hazard unhardened
+   and the region decides what that means — exactly the risk unhardened
    drivers face. Ring positions (avail/used slots) below *are* wrapped,
    because those are free-running counters by contract. *)
 let desc_slot t i = t.desc_off + (16 * i)

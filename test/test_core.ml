@@ -205,6 +205,44 @@ let test_dual_echo_steady_state_zero_alloc () =
   Alcotest.(check int) "zero per-frame allocations on the L2 path" fresh0
     (Cio_mem.Bufpool.stats pool).Cio_mem.Bufpool.fresh
 
+let test_channel_record_size_limit () =
+  (* The largest payload one record carries crosses a Channel intact; one
+     byte more is refused at the sender, instead of sealing a record the
+     receiver's splitter rejects (or, past 64 KiB, whose 16-bit length
+     field silently wraps). *)
+  let pair, client_conn, server_conn = Helpers.connected_pair () in
+  let channel role stack conn =
+    let session =
+      Cio_tls.Session.create ~role ~psk:(Bytes.make 32 'p') ~psk_id:"t" ~rng:(Rng.create 5L) ()
+    in
+    Channel.create ~meter:(Cost.meter ()) ~session ~stack ~conn ()
+  in
+  let c = channel Cio_tls.Session.Client pair.Helpers.stack_a client_conn in
+  let s = channel Cio_tls.Session.Server pair.Helpers.stack_b server_conn in
+  let pumped pred () =
+    Channel.pump c;
+    Channel.pump s;
+    pred ()
+  in
+  ignore (Channel.start_handshake c);
+  Alcotest.(check bool) "established" true
+    (Helpers.run_until pair
+       (pumped (fun () -> Channel.is_established c && Channel.is_established s)));
+  let largest = Bytes.make Cio_tls.Wire.max_plaintext 'm' in
+  (match Channel.send c largest with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Cio_tls.Session.error_to_string e));
+  let got = ref None in
+  Alcotest.(check bool) "delivered" true
+    (Helpers.run_until pair
+       (pumped (fun () ->
+            (match Channel.recv s with Some m -> got := Some m | None -> ());
+            !got <> None)));
+  Helpers.check_bytes "16384 B round trip" largest (Option.get !got);
+  match Channel.send c (Bytes.make (Cio_tls.Wire.max_plaintext + 1) 'm') with
+  | Error (Cio_tls.Session.Payload_too_large 16385) -> ()
+  | Ok () | Error _ -> Alcotest.fail "16385 B must be refused"
+
 let test_channel_copy_knobs_change_costs () =
   (* E7 at unit level: zero-copy send saves the L5 crossing copy. *)
   let run ~zc =
@@ -254,4 +292,6 @@ let suite =
     Alcotest.test_case "dual echo allocation-free in steady state" `Slow
       test_dual_echo_steady_state_zero_alloc;
     Alcotest.test_case "channel copy knobs (E7)" `Quick test_channel_copy_knobs_change_costs;
+    Alcotest.test_case "channel: 16384 B round-trips, 16385 B refused" `Quick
+      test_channel_record_size_limit;
   ]

@@ -1,5 +1,5 @@
-(* Tests for the TEE memory model: protections, sharing/revocation,
-   double-fetch transactions, and the pool allocator policies. *)
+(* Tests for the TEE memory model: protections, sharing/revocation, the
+   runtime double-fetch sanitizer, and the pool allocator policies. *)
 
 open Cio_util
 open Cio_mem
@@ -36,8 +36,12 @@ let test_out_of_bounds_faults () =
   (match Region.guest_read r ~off:4090 ~len:10 with
   | _ -> Alcotest.fail "oob read must fault"
   | exception Region.Fault (Region.Out_of_bounds _) -> ());
-  match Region.guest_read r ~off:(-1) ~len:1 with
+  (match Region.guest_read r ~off:(-1) ~len:1 with
   | _ -> Alcotest.fail "negative offset must fault"
+  | exception Region.Fault (Region.Out_of_bounds _) -> ());
+  (* Checked before the result buffer is allocated. *)
+  match Region.guest_read r ~off:0 ~len:(-1) with
+  | _ -> Alcotest.fail "negative length must fault"
   | exception Region.Fault (Region.Out_of_bounds _) -> ()
 
 let test_unshare_revokes_host_access () =
@@ -96,41 +100,6 @@ let test_copy_in_charges () =
   Alcotest.(check bool) "copy charged" (Cost.cycles_of m Cost.Copy > 0) true;
   Alcotest.(check int) "exact" (Cost.copy_cost (Region.model r) 1024) (Cost.cycles_of m Cost.Copy)
 
-let test_double_fetch_detected () =
-  let r = make () in
-  Region.guest_write r ~off:0 (Bytes.of_string "AAAA");
-  Region.begin_txn r;
-  ignore (Region.guest_read r ~off:0 ~len:4);
-  ignore (Region.guest_read r ~off:0 ~len:4);
-  let hazards = Region.end_txn r in
-  Alcotest.(check int) "one hazard" 1 (List.length hazards);
-  Alcotest.(check bool) "not mutated" false (List.hd hazards).Region.mutated
-
-let test_double_fetch_mutation_flagged () =
-  let r = make () in
-  Region.guest_write r ~off:0 (Bytes.of_string "AAAA");
-  Region.begin_txn r;
-  ignore (Region.guest_read r ~off:0 ~len:4);
-  Region.host_write r ~off:0 (Bytes.of_string "BBBB");
-  ignore (Region.guest_read r ~off:0 ~len:4);
-  let hazards = Region.end_txn r in
-  Alcotest.(check bool) "mutation flagged" true
-    (List.exists (fun h -> h.Region.mutated) hazards)
-
-let test_single_fetch_no_hazard () =
-  let r = make () in
-  Region.begin_txn r;
-  ignore (Region.guest_read r ~off:0 ~len:4);
-  ignore (Region.guest_read r ~off:100 ~len:4);
-  Alcotest.(check int) "disjoint reads, no hazard" 0 (List.length (Region.end_txn r))
-
-let test_overlapping_fetch_hazard () =
-  let r = make () in
-  Region.begin_txn r;
-  ignore (Region.guest_read r ~off:0 ~len:8);
-  ignore (Region.guest_read r ~off:4 ~len:8);
-  Alcotest.(check int) "overlap is a hazard" 1 (List.length (Region.end_txn r))
-
 let test_guest_read_hook_fires () =
   let r = make () in
   Region.guest_write r ~off:0 (Bytes.of_string "\x01\x02\x03\x04");
@@ -146,17 +115,6 @@ let test_guest_read_hook_fires () =
   Alcotest.(check int) "fired once" 1 !fired;
   Alcotest.(check char) "first read honest" '\x01' (Bytes.get first 0);
   Alcotest.(check char) "second read sees race" '\xFF' (Bytes.get second 0)
-
-let test_events_logged () =
-  let r = make () in
-  Region.clear_log r;
-  ignore (Region.guest_read r ~off:0 ~len:4);
-  Region.host_write r ~off:8 (Bytes.of_string "hi");
-  let events = Region.events r in
-  Alcotest.(check int) "two events" 2 (List.length events);
-  match events with
-  | [ Region.Read { actor = Region.Guest; _ }; Region.Write { actor = Region.Host; _ } ] -> ()
-  | _ -> Alcotest.fail "unexpected event sequence"
 
 let test_word_accessors () =
   let r = make () in
@@ -368,12 +326,13 @@ let test_sanitizer_ignores_private_and_host () =
   ignore (Region.host_read r ~off:4096 ~len:8);
   Alcotest.(check int) "nothing counted" 0 (Region.sanitizer_stats r).Region.double_fetches
 
-(* Property: the transaction API's hazard semantics — which the runtime
-   sanitizer mirrors epoch-for-epoch — are exactly "overlap = hazard,
-   changed bytes in the overlap = mutated". *)
-let prop_txn_hazards_pin_sanitizer_semantics =
+(* Property: the sanitizer's semantics within one epoch are exactly
+   "overlapping fetches = a double fetch, changed bytes in the overlap =
+   mutated" — whether the second fetch is disjoint, overlaps, or is raced
+   by a host write in between. *)
+let prop_sanitizer_overlap_and_race =
   QCheck.Test.make
-    ~name:"txn hazards = overlap; mutated = raced; sanitizer agrees" ~count:300
+    ~name:"sanitizer: overlap/race semantics" ~count:300
     (QCheck.make
        QCheck.Gen.(
          pair
@@ -382,20 +341,12 @@ let prop_txn_hazards_pin_sanitizer_semantics =
     (fun ((off1, len1, off2, len2), mutate) ->
       let r = make () in
       Region.sanitizer_enable r;
-      let (), hazards =
-        Region.with_txn r (fun () ->
-            ignore (Region.guest_read r ~off:off1 ~len:len1);
-            if mutate then Region.host_write r ~off:off2 (Bytes.make len2 '\xFF');
-            ignore (Region.guest_read r ~off:off2 ~len:len2))
-      in
+      ignore (Region.guest_read r ~off:off1 ~len:len1);
+      if mutate then Region.host_write r ~off:off2 (Bytes.make len2 '\xFF');
+      ignore (Region.guest_read r ~off:off2 ~len:len2);
       let overlap = off1 < off2 + len2 && off2 < off1 + len1 in
       let s = Region.sanitizer_stats r in
-      (* 1. a hazard iff the two reads overlap; *)
-      (hazards <> []) = overlap
-      (* 2. mutated iff the host raced an overlapping window; *)
-      && List.for_all (fun h -> h.Region.mutated = (overlap && mutate)) hazards
-      (* 3. the runtime sanitizer counts the same pair the txn saw. *)
-      && s.Region.double_fetches = (if overlap then 1 else 0)
+      s.Region.double_fetches = (if overlap then 1 else 0)
       && s.Region.mutated_fetches = (if overlap && mutate then 1 else 0))
 
 let suite =
@@ -410,12 +361,7 @@ let suite =
     Alcotest.test_case "region: batched revocation cost" `Quick test_share_costs_batched;
     Alcotest.test_case "region: idempotent unshare cost" `Quick test_unshare_idempotent_cost;
     Alcotest.test_case "region: copy-in charged" `Quick test_copy_in_charges;
-    Alcotest.test_case "region: double fetch detected" `Quick test_double_fetch_detected;
-    Alcotest.test_case "region: raced double fetch flagged" `Quick test_double_fetch_mutation_flagged;
-    Alcotest.test_case "region: disjoint reads safe" `Quick test_single_fetch_no_hazard;
-    Alcotest.test_case "region: overlapping reads hazardous" `Quick test_overlapping_fetch_hazard;
     Alcotest.test_case "region: guest-read race hook" `Quick test_guest_read_hook_fires;
-    Alcotest.test_case "region: access log" `Quick test_events_logged;
     Alcotest.test_case "region: word accessors" `Quick test_word_accessors;
     Alcotest.test_case "pool: alloc/free cycle" `Quick test_pool_alloc_free_cycle;
     Alcotest.test_case "pool: unique allocation" `Quick test_pool_no_double_alloc;
@@ -439,7 +385,7 @@ let suite =
       test_sanitizer_epoch_resets_window;
     Alcotest.test_case "sanitizer: private/host reads ignored" `Quick
       test_sanitizer_ignores_private_and_host;
-    Helpers.qtest prop_txn_hazards_pin_sanitizer_semantics;
+    Helpers.qtest prop_sanitizer_overlap_and_race;
     Helpers.qtest prop_pool_alloc_unique;
     Helpers.qtest prop_masked_pool_always_in_bounds;
     Helpers.qtest prop_bufpool_acquire_is_exact_and_balanced;

@@ -199,7 +199,16 @@ let test_alert_kills_peer () =
   Alcotest.(check bool) "peer alert fatal" true (r.S.err = Some S.Peer_alert)
 
 let test_max_size_record () =
+  (* One byte over the limit is refused before sealing: no sequence
+     number is spent and no crypto is charged, so the next record still
+     authenticates at the peer. *)
   let c, s = Helpers.tls_pair () in
+  let sent = S.records_sent c and cycles = Cio_util.Cost.total (S.meter c) in
+  (match S.send_data c (Bytes.make (Wire.max_plaintext + 1) 'B') with
+  | Error (S.Payload_too_large n) -> Alcotest.(check int) "reported length" 16385 n
+  | Ok _ | Error _ -> Alcotest.fail "oversized payload must be refused");
+  Alcotest.(check int) "no record sealed" sent (S.records_sent c);
+  Alcotest.(check int) "nothing charged" cycles (Cio_util.Cost.total (S.meter c));
   let big = Bytes.make 16384 'B' in
   let wire = match S.send_data c big with Ok w -> w | Error _ -> assert false in
   let r = feed_ok "server" s wire in
