@@ -15,7 +15,6 @@ val create :
   t
 
 val region : t -> Region.t
-val config : t -> Config.t
 val tx_ring : t -> Ring.t
 val rx_ring : t -> Ring.t
 val host_meter : t -> Cost.meter
@@ -33,19 +32,6 @@ val hot_swap : t -> unit
     like a cable pull and the upper layers recover. The host must
     re-attach (see {!Host_model.reattach}). *)
 
-val transmit : t -> bytes -> bool
-val poll : t -> bytes option
-
-val transmit_ex : t -> bytes -> Cio_overload.Pressure.outcome
-(** Typed transmit: [Backpressure Ring_full] when the TX ring has no
-    EMPTY slot (also counted as [overload.bp.ring_full]). [transmit] is
-    the boolean shim over this. *)
-
-val transmit_burst_ex : t -> bytes array -> int * Cio_overload.Pressure.outcome
-(** Burst transmit with a typed tail outcome: [(n, Accepted)] when the
-    whole batch was placed, [(n, Backpressure Ring_full)] when the ring
-    filled after [n] frames. *)
-
 val tx_occupancy : t -> int
 (** TX-ring slots in flight (guest-private cursors; host-independent). *)
 
@@ -55,13 +41,24 @@ val tx_pressure : t -> Cio_overload.Pressure.level
 val transmit_burst : t -> bytes array -> int
 (** Place up to a whole batch in one ring crossing with at most one
     doorbell (coalesced under [use_notifications]); returns how many
-    frames went in. Short frames are padded via pool buffers when
-    [pad_frames] is set — no per-frame allocation in steady state. *)
+    frames went in. When the ring fills first, the tail is the caller's
+    to hold and the refusal is counted as [overload.bp.ring_full] (see
+    {!tx_pressure} for the level). Short frames are padded via pool
+    buffers when [pad_frames] is set — no per-frame allocation in steady
+    state. *)
+
+val transmit : t -> bytes -> bool
+(** [transmit t f] is [transmit_burst t [| f |] = 1]. *)
+
+val poll : t -> bytes option
+(** Receive at most one frame. A malformed or empty head slot ends the
+    call with [None] (a malformed slot is skipped and counted, so the next
+    call moves on). In [Revoke] mode this is a revocation burst of one. *)
 
 val poll_burst : ?max:int -> t -> bytes list
 (** Drain up to [max] (default 64) RX frames in one crossing, FIFO. In
     [Revoke] mode the contiguous run is revoked under a single shootdown
-    and released before returning; every buffer is an owned snapshot. *)
+    and re-shared before returning; every buffer is an owned snapshot. *)
 
 val recycle : t -> bytes -> unit
 (** Return a frame buffer handed out by {!poll}/{!poll_burst} to the
@@ -69,9 +66,5 @@ val recycle : t -> bytes -> unit
 
 val pool : t -> Cio_mem.Bufpool.t
 (** The driver's RX/staging buffer pool (stable across hot swaps). *)
-
-val poll_zero_copy : t -> Ring.zero_copy option
-(** Revocation receive that keeps the slot until [release] (for callers
-    that can consume in place). *)
 
 val to_netif : t -> Cio_tcpip.Netif.t

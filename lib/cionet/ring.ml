@@ -111,6 +111,7 @@ type t = {
   bindings : int option array;
   mutable next_desc : int;
   mutable next_tag : int;
+  run_lens : int array;     (* consumer-private: lengths of a revoked run *)
   counters : counters;
 }
 
@@ -136,6 +137,7 @@ let create ~region ~base ~slots ~positioning ~producer ~host_meter =
       bindings = Array.make slots None;
       next_desc = 0;
       next_tag = 0;
+      run_lens = Array.make slots 0;
       counters =
         {
           produced = 0;
@@ -166,7 +168,6 @@ let slots t = t.slots
    propagates upward. *)
 let occupancy t = t.prod_next - t.cons_next
 let region t = t.region
-let header_offset t slot = t.base + t.lay.hdr_off + (header_bytes * (slot land (t.slots - 1)))
 let capacity t = t.lay.unit_size
 let consumer t = match t.producer with Region.Guest -> Region.Host | Region.Host -> Region.Guest
 let data_arena t = (t.base + t.lay.data_off, t.lay.data_size)
@@ -177,6 +178,7 @@ let meter_of t (actor : Region.actor) =
 let charge t actor cat cycles = Cost.charge (meter_of t actor) cat cycles
 
 let hdr_off t slot = t.base + t.lay.hdr_off + (header_bytes * (slot land (t.slots - 1)))
+let header_offset = hdr_off
 let unit_off t u = t.base + t.lay.data_off + (t.lay.unit_size * (u land (t.lay.units - 1)))
 let desc_off t d = t.base + t.lay.desc_off + (8 * (d land (max t.lay.desc_count 1 - 1)))
 
@@ -188,7 +190,8 @@ let desc_off t d = t.base + t.lay.desc_off + (8 * (d land (max t.lay.desc_count 
 let ring_word_cost t ~amortized =
   if amortized then t.model.Cost.ring_burst_op else t.model.Cost.ring_op
 
-(* Single-fetch header read: one 16-byte pull, decoded privately. *)
+(* Single-fetch header read: one 16-byte pull, decoded privately. The tag
+   word is the producer's sequence stamp; no consumer decision uses it. *)
 let read_header ?(amortized = false) t actor slot =
   charge t actor Cost.Ring (ring_word_cost t ~amortized);
   let b =
@@ -199,8 +202,7 @@ let read_header ?(amortized = false) t actor slot =
   let state = Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF in
   let len = Int32.to_int (Bytes.get_int32_le b 4) land 0xFFFFFFFF in
   let info = Int32.to_int (Bytes.get_int32_le b 8) land 0xFFFFFFFF in
-  let tag = Int32.to_int (Bytes.get_int32_le b 12) land 0xFFFFFFFF in
-  (state, len, info, tag)
+  (state, len, info)
 
 let write_word ?(amortized = false) t actor ~off v =
   charge t actor Cost.Ring (ring_word_cost t ~amortized);
@@ -213,12 +215,35 @@ let write_payload t actor ~off payload =
       Region.host_write t.region ~off payload;
       charge t actor Cost.Dma (Cost.dma_cost t.model (Bytes.length payload))
 
+let empty_poll t =
+  t.counters.empty_polls <- t.counters.empty_polls + 1;
+  Metrics.inc m_empty_polls
+
+(* A confined untrusted index or offset: counted when confinement moved it. *)
+let note_masked t ~raw confined =
+  if confined <> raw then begin
+    t.counters.index_masked <- t.counters.index_masked + 1;
+    Metrics.inc m_index_masked;
+    if Trace.on () then Trace.instant ~arg:raw ~cat:Kind.l2 "slot-mask"
+  end;
+  confined
+
+(* Skip a malformed slot (no error path): count it, hand it back EMPTY and
+   move on. Progress is made; no message comes out. *)
+let skip_slot ?amortized t actor slot ~state =
+  t.counters.state_skipped <- t.counters.state_skipped + 1;
+  Metrics.inc m_state_skipped;
+  if Trace.on () then Trace.instant ~arg:state ~cat:Kind.l2 "slot-skip";
+  write_word ?amortized t actor ~off:(hdr_off t slot) state_empty;
+  t.cons_next <- t.cons_next + 1
+
+let private_buf ?pool len =
+  match pool with Some p -> Bufpool.acquire p len | None -> Bytes.create len
+
 (* The consumer's one early copy. With a [pool] the destination buffer is
    recycled instead of freshly allocated — same charges either way. *)
 let read_payload ?pool t actor ~off ~len =
-  let b =
-    match pool with Some p -> Bufpool.acquire p len | None -> Bytes.create len
-  in
+  let b = private_buf ?pool len in
   (match actor with
   | Region.Guest -> Region.copy_in_into t.region ~off b
   | Region.Host ->
@@ -226,59 +251,46 @@ let read_payload ?pool t actor ~off ~len =
       charge t actor Cost.Dma (Cost.dma_cost t.model len));
   b
 
-(* Reclaim the payload unit a ring slot was last bound to (producer
-   private bookkeeping; the "free" control message is the slot's return
-   to EMPTY, which the producer observes on reuse). *)
-let reclaim_binding t slot =
-  match t.bindings.(slot land (t.slots - 1)) with
-  | None -> ()
-  | Some u ->
-      t.bindings.(slot land (t.slots - 1)) <- None;
-      Queue.add u t.free_units
-
 let produce_one t ~amortized payload =
   let actor = t.producer in
   let len = Bytes.length payload in
   if len > t.lay.unit_size then invalid_arg "Ring.try_produce: payload larger than slot capacity";
   if len = 0 then invalid_arg "Ring.try_produce: messages carry at least one byte";
   let slot = t.prod_next land (t.slots - 1) in
-  let state, _, _, _ = read_header t ~amortized actor slot in
+  let state, _, _ = read_header t ~amortized actor slot in
   if state <> state_empty then begin
     t.counters.full_misses <- t.counters.full_misses + 1;
     Metrics.inc m_full_misses;
     false
   end
   else begin
-    reclaim_binding t slot;
+    (* Reclaim the payload unit the slot was last bound to: the "free"
+       message is the slot's return to EMPTY, seen here on reuse. The
+       binding is overwritten below whenever a unit is taken. *)
+    (match t.bindings.(slot) with Some u -> Queue.add u t.free_units | None -> ());
     let info =
       match t.positioning with
       | Config.Inline _ ->
           write_payload t actor ~off:(unit_off t slot) payload;
           0
-      | Config.Pool _ -> (
+      | Config.Pool _ | Config.Indirect _ -> (
           match Queue.take_opt t.free_units with
           | None ->
               t.counters.full_misses <- t.counters.full_misses + 1;
               Metrics.inc m_full_misses;
               -1
-          | Some u ->
+          | Some u -> (
               t.bindings.(slot) <- Some u;
               write_payload t actor ~off:(unit_off t u) payload;
-              u)
-      | Config.Indirect _ -> (
-          match Queue.take_opt t.free_units with
-          | None ->
-              t.counters.full_misses <- t.counters.full_misses + 1;
-              Metrics.inc m_full_misses;
-              -1
-          | Some u ->
-              t.bindings.(slot) <- Some u;
-              write_payload t actor ~off:(unit_off t u) payload;
-              let d = t.next_desc land (t.lay.desc_count - 1) in
-              t.next_desc <- t.next_desc + 1;
-              write_word t ~amortized actor ~off:(desc_off t d) (unit_off t u - (t.base + t.lay.data_off));
-              write_word t ~amortized actor ~off:(desc_off t d + 4) len;
-              d)
+              match t.positioning with
+              | Config.Indirect _ ->
+                  let d = t.next_desc land (t.lay.desc_count - 1) in
+                  t.next_desc <- t.next_desc + 1;
+                  write_word t ~amortized actor ~off:(desc_off t d)
+                    (unit_off t u - (t.base + t.lay.data_off));
+                  write_word t ~amortized actor ~off:(desc_off t d + 4) len;
+                  d
+              | _ -> u))
     in
     if info < 0 then false
     else begin
@@ -331,22 +343,12 @@ let locate ?(amortized = false) t actor slot ~len ~info =
       (unit_off t slot, len)
   | Config.Pool _ ->
       charge t actor Cost.Check t.model.Cost.check;
-      let u = info land (t.lay.units - 1) in
-      if u <> info then begin
-        t.counters.index_masked <- t.counters.index_masked + 1;
-        Metrics.inc m_index_masked;
-        if Trace.on () then Trace.instant ~arg:info ~cat:Kind.l2 "slot-mask"
-      end;
+      let u = note_masked t ~raw:info (info land (t.lay.units - 1)) in
       let len = clamp len t.lay.unit_size in
       (unit_off t u, len)
   | Config.Indirect _ ->
       charge t actor Cost.Check t.model.Cost.check;
-      let d = info land (t.lay.desc_count - 1) in
-      if d <> info then begin
-        t.counters.index_masked <- t.counters.index_masked + 1;
-        Metrics.inc m_index_masked;
-        if Trace.on () then Trace.instant ~arg:info ~cat:Kind.l2 "slot-mask"
-      end;
+      let d = note_masked t ~raw:info (info land (t.lay.desc_count - 1)) in
       (* Single fetch of the descriptor. *)
       charge t actor Cost.Ring (ring_word_cost t ~amortized);
       let db =
@@ -359,12 +361,10 @@ let locate ?(amortized = false) t actor slot ~len ~info =
       (* Confine the buffer offset: wrap into the arena, align down to a
          unit boundary. A hostile offset aliases a valid unit. *)
       charge t actor Cost.Check t.model.Cost.check;
-      let confined = Bitops.align_down (raw_off land (t.lay.data_size - 1)) ~align:t.lay.unit_size in
-      if confined <> raw_off then begin
-        t.counters.index_masked <- t.counters.index_masked + 1;
-        Metrics.inc m_index_masked;
-        if Trace.on () then Trace.instant ~arg:raw_off ~cat:Kind.l2 "slot-mask"
-      end;
+      let confined =
+        note_masked t ~raw:raw_off
+          (Bitops.align_down (raw_off land (t.lay.data_size - 1)) ~align:t.lay.unit_size)
+      in
       let len = clamp (min len dlen) t.lay.unit_size in
       (t.base + t.lay.data_off + confined, len)
 
@@ -375,32 +375,21 @@ type consume_result = Cr_empty | Cr_skip | Cr_frame of bytes
 let consume_one ?pool t ~amortized =
   let actor = consumer t in
   let slot = t.cons_next land (t.slots - 1) in
-  let state, len, info, _tag = read_header t ~amortized actor slot in
+  let state, len, info = read_header t ~amortized actor slot in
   if state = state_empty then begin
-    t.counters.empty_polls <- t.counters.empty_polls + 1;
-    Metrics.inc m_empty_polls;
+    empty_poll t;
     Cr_empty
   end
   else if state <> state_full then begin
-    (* Malformed state word: skip the slot entirely (no error path). *)
-    t.counters.state_skipped <- t.counters.state_skipped + 1;
-    Metrics.inc m_state_skipped;
-    if Trace.on () then Trace.instant ~arg:state ~cat:Kind.l2 "slot-skip";
-    write_word t ~amortized actor ~off:(hdr_off t slot) state_empty;
-    t.cons_next <- t.cons_next + 1;
+    skip_slot ~amortized t actor slot ~state;
     Cr_skip
   end
   else begin
     let off, len = locate ~amortized t actor slot ~len ~info in
     if len = 0 then begin
       (* A message carries at least one byte by contract: a zero-length
-         claim is malformed, so the slot is skipped like any other
-         malformed slot (no error path). *)
-      t.counters.state_skipped <- t.counters.state_skipped + 1;
-      Metrics.inc m_state_skipped;
-      if Trace.on () then Trace.instant ~cat:Kind.l2 "slot-skip";
-      write_word t ~amortized actor ~off:(hdr_off t slot) state_empty;
-      t.cons_next <- t.cons_next + 1;
+         claim is malformed, so the slot is skipped like any other. *)
+      skip_slot ~amortized t actor slot ~state;
       Cr_skip
     end
     else begin
@@ -425,95 +414,23 @@ let try_consume ?pool t =
    terminates — without poisoning the rest of the batch. Only the first
    header access of the crossing pays full ring cost. *)
 let try_consume_burst ?pool ?(max = 64) t =
-  let ops = ref 0 in
-  let rec go n acc =
+  let rec go ~amortized n acc =
     if n >= max then List.rev acc
-    else begin
-      let amortized = !ops > 0 in
-      incr ops;
+    else
       match consume_one ?pool t ~amortized with
       | Cr_empty -> List.rev acc
-      | Cr_skip -> go n acc
-      | Cr_frame b -> go (n + 1) (b :: acc)
-    end
+      | Cr_skip -> go ~amortized:true n acc
+      | Cr_frame b -> go ~amortized:true (n + 1) (b :: acc)
   in
-  if max <= 0 then [] else go 0 []
+  go ~amortized:false 0 []
 
-(* Zero-copy consume by revocation (guest consumer, Inline positioning):
-   unshare the payload pages, return a view of now-private memory, and
-   release by re-sharing + marking EMPTY. *)
-type zero_copy = { data : bytes; release : unit -> unit }
-
-let rec try_consume_revoke ?pool t =
-  let actor = consumer t in
-  if actor <> Region.Guest then invalid_arg "Ring.try_consume_revoke: guest-consumer rings only";
-  (match t.positioning with
-  | Config.Inline _ -> ()
-  | _ -> invalid_arg "Ring.try_consume_revoke: inline positioning only");
-  let slot = t.cons_next land (t.slots - 1) in
-  let state, len, _info, _tag = read_header t actor slot in
-  if state = state_empty then begin
-    t.counters.empty_polls <- t.counters.empty_polls + 1;
-    Metrics.inc m_empty_polls;
-    None
-  end
-  else if state <> state_full then begin
-    t.counters.state_skipped <- t.counters.state_skipped + 1;
-    Metrics.inc m_state_skipped;
-    if Trace.on () then Trace.instant ~arg:state ~cat:Kind.l2 "slot-skip";
-    write_word t actor ~off:(hdr_off t slot) state_empty;
-    t.cons_next <- t.cons_next + 1;
-    None
-  end
-  else begin
-    charge t actor Cost.Check t.model.Cost.check;
-    let len = min len t.lay.unit_size in
-    if len = 0 then begin
-      t.counters.state_skipped <- t.counters.state_skipped + 1;
-      Metrics.inc m_state_skipped;
-      if Trace.on () then Trace.instant ~cat:Kind.l2 "slot-skip";
-      write_word t actor ~off:(hdr_off t slot) state_empty;
-      t.cons_next <- t.cons_next + 1;
-      None
-    end
-    else revoke_consume ?pool t actor slot ~len
-  end
-
-and revoke_consume ?pool t actor slot ~len =
-  begin
-    let off = unit_off t slot in
-    (* Revoke the slot's pages: the host can no longer race the data. *)
-    Region.unshare_range t.region ~off ~len:t.lay.unit_size;
-    let data =
-      match pool with
-      | Some p ->
-          let b = Bufpool.acquire p len in
-          Region.guest_read_into t.region ~off b;
-          b
-      | None -> Region.guest_read t.region ~off ~len
-    in
-    let released = ref false in
-    let release () =
-      if not !released then begin
-        released := true;
-        Region.share_range t.region ~off ~len:t.lay.unit_size;
-        write_word t actor ~off:(hdr_off t slot) state_empty
-      end
-    in
-    t.cons_next <- t.cons_next + 1;
-    t.counters.consumed <- t.counters.consumed + 1;
-    Metrics.inc m_consumed;
-    if Trace.on () then Trace.instant ~arg:len ~cat:Kind.l2 "slot-revoke";
-    Some { data; release }
-  end
-
-(* Burst revocation: one unshare/share pair (one shootdown each way)
-   covers a contiguous run of FULL slots. The run never wraps the ring —
-   a wrap would split the span — and never consumes past a non-FULL or
-   malformed slot: that slot is left in place for the next call, so the
-   single-slot skip machinery handles it with its usual accounting. *)
-type zero_copy_burst = { frames : bytes list; release : unit -> unit }
-
+(* Receive by revocation (guest consumer, Inline positioning): validate
+   a contiguous run of FULL slots, revoke its span with one unshare (one
+   shootdown), snapshot each payload from now-private pages, re-share and
+   return every slot EMPTY. The run never wraps the ring (a wrap would
+   split the span) and ends before the first slot that is not a valid FULL
+   one; that slot is left for the next call, whose head handles it exactly
+   as [consume_one] does. Lengths go through the copy path's [locate]. *)
 let try_consume_revoke_burst ?pool ?(max = 64) t =
   let actor = consumer t in
   if actor <> Region.Guest then
@@ -521,84 +438,51 @@ let try_consume_revoke_burst ?pool ?(max = 64) t =
   (match t.positioning with
   | Config.Inline _ -> ()
   | _ -> invalid_arg "Ring.try_consume_revoke_burst: inline positioning only");
-  if max <= 0 then None
-  else begin
-    let mask = t.slots - 1 in
-    let start = t.cons_next land mask in
-    let limit = min max (t.slots - start) in
-    let state, len, _info, _tag = read_header t actor start in
-    if state = state_empty then begin
-      t.counters.empty_polls <- t.counters.empty_polls + 1;
-      Metrics.inc m_empty_polls;
-      None
-    end
-    else if state <> state_full then begin
-      t.counters.state_skipped <- t.counters.state_skipped + 1;
-      Metrics.inc m_state_skipped;
-      if Trace.on () then Trace.instant ~arg:state ~cat:Kind.l2 "slot-skip";
-      write_word t actor ~off:(hdr_off t start) state_empty;
-      t.cons_next <- t.cons_next + 1;
-      None
-    end
+  let start = t.cons_next land (t.slots - 1) in
+  let limit = min max (t.slots - start) in
+  let rec scan k =
+    if k >= limit then k
     else begin
-      charge t actor Cost.Check t.model.Cost.check;
-      let first_len = min len t.lay.unit_size in
-      if first_len = 0 then begin
-        t.counters.state_skipped <- t.counters.state_skipped + 1;
-        Metrics.inc m_state_skipped;
-        if Trace.on () then Trace.instant ~cat:Kind.l2 "slot-skip";
-        write_word t actor ~off:(hdr_off t start) state_empty;
-        t.cons_next <- t.cons_next + 1;
-        None
+      let slot = start + k in
+      let state, len, info = read_header ~amortized:(k > 0) t actor slot in
+      let len =
+        if state = state_full then snd (locate t actor slot ~len ~info)
+        else begin
+          (* A non-FULL header that ends a run pays its check like the
+             rest of the run; at the head it pays none, as on the copy path. *)
+          if k > 0 then charge t actor Cost.Check t.model.Cost.check;
+          0
+        end
+      in
+      if len > 0 then begin
+        t.run_lens.(k) <- len;
+        scan (k + 1)
       end
       else begin
-        (* Scan ahead for the run of valid FULL slots (amortized header
-           reads); stop at the first slot that doesn't qualify. *)
-        let lens = Array.make limit 0 in
-        lens.(0) <- first_len;
-        let k = ref 1 in
-        let scanning = ref true in
-        while !scanning && !k < limit do
-          let state, len, _info, _tag = read_header t ~amortized:true actor (start + !k) in
-          charge t actor Cost.Check t.model.Cost.check;
-          let len = min len t.lay.unit_size in
-          if state = state_full && len > 0 then begin
-            lens.(!k) <- len;
-            incr k
-          end
-          else scanning := false
-        done;
-        let k = !k in
-        let span_off = unit_off t start in
-        let span_len = k * t.lay.unit_size in
-        Region.unshare_range t.region ~off:span_off ~len:span_len;
-        let frames =
-          List.init k (fun i ->
-              let off = unit_off t (start + i) in
-              match pool with
-              | Some p ->
-                  let b = Bufpool.acquire p lens.(i) in
-                  Region.guest_read_into t.region ~off b;
-                  b
-              | None -> Region.guest_read t.region ~off ~len:lens.(i))
-        in
-        let released = ref false in
-        let release () =
-          if not !released then begin
-            released := true;
-            Region.share_range t.region ~off:span_off ~len:span_len;
-            for i = 0 to k - 1 do
-              write_word t ~amortized:(i > 0) actor
-                ~off:(hdr_off t (start + i))
-                state_empty
-            done
-          end
-        in
-        t.cons_next <- t.cons_next + k;
-        t.counters.consumed <- t.counters.consumed + k;
-        Metrics.add m_consumed k;
-        if Trace.on () then Trace.instant ~arg:k ~cat:Kind.l2 "slot-revoke-burst";
-        Some { frames; release }
+        if k = 0 then
+          if state = state_empty then empty_poll t else skip_slot t actor slot ~state;
+        k
       end
     end
+  in
+  let k = scan 0 in
+  if k = 0 then []
+  else begin
+    let span_off = unit_off t start and span_len = k * t.lay.unit_size in
+    Region.unshare_range t.region ~off:span_off ~len:span_len;
+    let frames =
+      List.init k (fun i ->
+          let b = private_buf ?pool t.run_lens.(i) in
+          Region.guest_read_into t.region ~off:(unit_off t (start + i)) b;
+          b)
+    in
+    Region.share_range t.region ~off:span_off ~len:span_len;
+    for i = 0 to k - 1 do
+      write_word t ~amortized:(i > 0) actor ~off:(hdr_off t (start + i)) state_empty
+    done;
+    t.cons_next <- t.cons_next + k;
+    t.counters.consumed <- t.counters.consumed + k;
+    Metrics.add m_consumed k;
+    if Trace.on () then Trace.instant ~arg:k ~cat:Kind.l2 "slot-revoke-burst";
+    frames
   end

@@ -90,19 +90,16 @@ val try_consume_burst : ?pool:Bufpool.t -> ?max:int -> t -> bytes list
     without ending the batch; an EMPTY slot ends it. Header/word costs
     amortize after the first access. *)
 
-type zero_copy = { data : bytes; release : unit -> unit }
-
-val try_consume_revoke : ?pool:Bufpool.t -> t -> zero_copy option
+val try_consume_revoke_burst : ?pool:Bufpool.t -> ?max:int -> t -> bytes list
 (** Consumer side, revocation strategy (guest consumer, inline
-    positioning): unshare the payload pages and read in place; [release]
-    re-shares and returns the slot. The returned [data] is always a
-    private snapshot owned by the caller. *)
-
-type zero_copy_burst = { frames : bytes list; release : unit -> unit }
-
-val try_consume_revoke_burst : ?pool:Bufpool.t -> ?max:int -> t -> zero_copy_burst option
-(** Revocation in bursts: one unshare/share pair (one TLB shootdown each
-    way) covers a contiguous run of up to [max] valid FULL slots. The run
-    stops at a ring wrap or at the first non-FULL/malformed slot, which is
-    left in place for the next call. [release] re-shares the whole span
-    and returns every slot. *)
+    positioning): one unshare/share pair (one TLB shootdown each way)
+    covers a contiguous run of up to [max] (default 64) valid FULL slots.
+    Each payload is read while its pages are private; the span is
+    re-shared and every slot returned EMPTY before the call returns, so
+    the frames are private snapshots owned by the caller. The run stops at
+    a ring wrap or before the first non-FULL/malformed slot, which is left
+    in place for the next call; a malformed head slot is skipped and
+    counted as in {!try_consume}. Lengths are clamped (and counted) as on
+    the copy path. A burst of one costs what a single-slot revocation
+    would: one full-cost header read, one check, one unshare and one
+    share of a slot's payload unit, one EMPTY write. *)

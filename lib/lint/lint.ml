@@ -94,12 +94,10 @@ let key f =
    protected by the regression side of the gate instead. *)
 let corpus_files = [ "lib/virtio/driver_unhardened.ml" ]
 
-(* Host-side simulators: they *play the untrusted host*, so the guest
-   interface-safety rules do not apply to them (they are the adversary
-   the rules defend against). Skipped entirely. *)
-let host_model_files =
-  [ "lib/virtio/device.ml"; "lib/cionet/host_model.ml"; "lib/netsim/adversary.ml" ]
-
+(* Host-side simulators ([Tcb.host_side_files] plus the attack harness)
+   *play the untrusted host*, so the guest interface-safety rules do not
+   apply to them (they are the adversary the rules defend against).
+   Skipped entirely. *)
 let host_model_dirs = [ "lib/attack" ]
 
 (* Trusted = every directory that appears in some Figure-5 core TCB
@@ -122,7 +120,7 @@ let starts_with prefix s =
 let classify rel =
   if List.mem rel corpus_files then Corpus
   else if
-    List.mem rel host_model_files
+    List.mem rel Cio_tcb.Tcb.host_side_files
     || List.exists (fun d -> starts_with (d ^ "/") rel) host_model_dirs
   then Host_model
   else if List.exists (fun d -> starts_with (d ^ "/") rel) (trusted_dirs ()) then Trusted
@@ -667,7 +665,7 @@ let parse_file path =
    stateless-interface principle says their mutable state must never
    derive from anything the host wrote. *)
 let in_cionet_ring rel =
-  starts_with "lib/cionet/" rel && not (List.mem rel host_model_files)
+  starts_with "lib/cionet/" rel && not (List.mem rel Cio_tcb.Tcb.host_side_files)
 
 let rec analyze_structure ~file ~role ~in_ring str =
   List.concat_map

@@ -2,8 +2,9 @@
 
    Each architectural component is measured in lines of OCaml from this
    repository itself (the simulator's components *are* the system being
-   compared), counted live from the source tree when available and
-   falling back to recorded values for installed/stripped deployments.
+   compared), counted live from the source tree; a missing directory is
+   an error, never a stand-in number. Host-side simulators that live next
+   to the guest code they exercise are not guest code and are not counted.
    What matters for Figure 5 is which components sit inside each
    configuration's *core* TCB — the code whose compromise exposes
    application data:
@@ -16,19 +17,25 @@
 type component = {
   comp_name : string;
   dirs : string list;     (* source dirs counted, relative to repo root *)
-  fallback_loc : int;     (* used when the tree is not available *)
 }
 
 let components =
   [
-    { comp_name = "tcpip-stack"; dirs = [ "lib/tcpip"; "lib/frame" ]; fallback_loc = 1400 };
-    { comp_name = "virtio-driver"; dirs = [ "lib/virtio" ]; fallback_loc = 900 };
-    { comp_name = "cionet-driver"; dirs = [ "lib/cionet" ]; fallback_loc = 800 };
-    { comp_name = "tls"; dirs = [ "lib/tls" ]; fallback_loc = 700 };
-    { comp_name = "crypto"; dirs = [ "lib/crypto" ]; fallback_loc = 700 };
-    { comp_name = "compartment-runtime"; dirs = [ "lib/compartment" ]; fallback_loc = 250 };
-    { comp_name = "mem-protection"; dirs = [ "lib/mem" ]; fallback_loc = 500 };
+    { comp_name = "tcpip-stack"; dirs = [ "lib/tcpip"; "lib/frame" ] };
+    { comp_name = "virtio-driver"; dirs = [ "lib/virtio" ] };
+    { comp_name = "cionet-driver"; dirs = [ "lib/cionet" ] };
+    { comp_name = "tls"; dirs = [ "lib/tls" ] };
+    { comp_name = "crypto"; dirs = [ "lib/crypto" ] };
+    { comp_name = "compartment-runtime"; dirs = [ "lib/compartment" ] };
+    { comp_name = "mem-protection"; dirs = [ "lib/mem" ] };
   ]
+
+(* Host-side simulators: they play the untrusted host (the device model,
+   the host end of the cionet rings, the network adversary), so they run
+   in no guest trust domain. The TCB count skips them, and cio_lint exempts
+   them from the guest interface-safety rules. *)
+let host_side_files =
+  [ "lib/virtio/device.ml"; "lib/cionet/host_model.ml"; "lib/netsim/adversary.ml" ]
 
 let count_file path =
   match open_in path with
@@ -44,24 +51,23 @@ let count_file path =
       close_in ic;
       !n
 
-let count_dir dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> 0
-  | entries ->
-      Array.fold_left
-        (fun acc f ->
-          if Filename.check_suffix f ".ml" then acc + count_file (Filename.concat dir f) else acc)
-        0 entries
-
 let repo_root = ref "."
 
 let set_repo_root p = repo_root := p
 
-let loc_of_component c =
-  let counted =
-    List.fold_left (fun acc d -> acc + count_dir (Filename.concat !repo_root d)) 0 c.dirs
-  in
-  if counted > 0 then counted else c.fallback_loc
+let count_dir dir =
+  let abs = Filename.concat !repo_root dir in
+  match Sys.readdir abs with
+  | exception Sys_error _ -> failwith ("Tcb: source directory not found: " ^ abs)
+  | entries ->
+      Array.fold_left
+        (fun acc f ->
+          if Filename.check_suffix f ".ml" && not (List.mem (dir ^ "/" ^ f) host_side_files)
+          then acc + count_file (Filename.concat abs f)
+          else acc)
+        0 entries
+
+let loc_of_component c = List.fold_left (fun acc d -> acc + count_dir d) 0 c.dirs
 
 let loc name =
   match List.find_opt (fun c -> c.comp_name = name) components with

@@ -5,7 +5,14 @@ val set_repo_root : string -> unit
 (** Directory containing [lib/]; defaults to ["."]. *)
 
 val loc : string -> int
-(** Lines of OCaml in a named component; raises on unknown names. *)
+(** Lines of OCaml in a named component, counted from the tree under the
+    repo root, {!host_side_files} excluded. Raises [Invalid_argument] on
+    unknown names and [Failure] when a component directory is missing. *)
+
+val host_side_files : string list
+(** Files (relative to the repo root) that simulate the untrusted host:
+    never counted as TCB, even inside a component directory, and exempt
+    from [cio_lint]'s guest rules. *)
 
 val component_names : string list
 (** Every component that can appear in a profile's [core]/[quarantined]. *)

@@ -87,22 +87,31 @@ let test_revoke_strategy_roundtrip () =
   Alcotest.(check bool) "reshare charged" (Cost.count_of m Cost.Share > 0) true
 
 let test_revoked_page_blocks_host () =
+  (* The guest reads the payload only while its pages are revoked: the
+     read hook fires on guest reads of *shared* memory, so it sees the
+     header fetch but never the payload. After [poll] the span is shared
+     again and the host can touch it. *)
   let cfg = { inline_cfg with Config.rx_strategy = Config.Revoke } in
   let drv, host, _ = make ~cfg () in
   Host_model.deliver_rx host (Bytes.of_string "first");
   Host_model.poll host;
-  match Driver.poll_zero_copy drv with
-  | None -> Alcotest.fail "no zero-copy rx"
-  | Some zc ->
-      (* While the guest holds the slot, its pages are private: the host
-         producing into that slot faults (and the model absorbs it). *)
-      let off, _ = Ring.data_arena (Driver.rx_ring drv) in
-      (match Region.host_read (Driver.region drv) ~off ~len:16 with
-      | _ -> Alcotest.fail "revoked page must be invisible to host"
-      | exception Region.Fault _ -> ());
-      zc.Ring.release ();
-      (* After release the host can touch it again. *)
-      ignore (Region.host_read (Driver.region drv) ~off ~len:16)
+  let region = Driver.region drv in
+  let off, _ = Ring.data_arena (Driver.rx_ring drv) in
+  let shared_reads = ref 0 and payload_reads = ref 0 in
+  Region.set_guest_read_hook region
+    (Some
+       (fun ~off:o ~len ->
+         incr shared_reads;
+         if o <= off && off < o + len then incr payload_reads));
+  let got = Driver.poll drv in
+  Region.set_guest_read_hook region None;
+  (match got with
+  | Some f -> Helpers.check_bytes "content" (Bytes.of_string "first") f
+  | None -> Alcotest.fail "no rx");
+  Alcotest.(check bool) "hook saw the shared header fetch" true (!shared_reads > 0);
+  Alcotest.(check int) "payload never read while shared" 0 !payload_reads;
+  Helpers.check_bytes "host reads it again after poll" (Bytes.of_string "first")
+    (Region.host_read region ~off ~len:5)
 
 let test_copy_strategy_charges_copy () =
   let drv, host, _ = make () in
@@ -146,14 +155,20 @@ let test_notifications_optional () =
 (* --- hostile host ------------------------------------------------------ *)
 
 let test_lie_len_confined () =
-  let drv, host, _ = make () in
-  Host_model.inject host (Host_model.Lie_len 100000);
-  Host_model.deliver_rx host (Bytes.of_string "tiny");
-  Host_model.poll host;
-  (match Driver.poll drv with
-  | Some f -> Alcotest.(check bool) "clamped to capacity" true (Bytes.length f <= 4096)
-  | None -> ());
-  Alcotest.(check int) "clamp counted" 1 (Ring.counters (Driver.rx_ring drv)).Ring.len_clamped
+  List.iter
+    (fun strategy ->
+      let name = Config.rx_strategy_name strategy in
+      let drv, host, _ = make ~cfg:{ inline_cfg with Config.rx_strategy = strategy } () in
+      Host_model.inject host (Host_model.Lie_len 100000);
+      Host_model.deliver_rx host (Bytes.of_string "tiny");
+      Host_model.poll host;
+      (match Driver.poll drv with
+      | Some f ->
+          Alcotest.(check bool) (name ^ ": clamped to capacity") true (Bytes.length f <= 4096)
+      | None -> ());
+      Alcotest.(check int) (name ^ ": clamp counted") 1
+        (Ring.counters (Driver.rx_ring drv)).Ring.len_clamped)
+    [ Config.Copy_in; Config.Revoke ]
 
 let test_bad_index_masked_in_pool_mode () =
   let drv, host, _ = make ~cfg:pool_cfg () in
@@ -715,23 +730,35 @@ let test_multiqueue_transmit_matches_steering () =
 
 (* --- batched-path properties -------------------------------------------- *)
 
+(* Every positioning and receive strategy, with and without size padding:
+   the single-slot entry points are specified by the bursts of one. *)
+let burst_of_one_cfgs =
+  let revoke = { inline_cfg with Config.rx_strategy = Config.Revoke } in
+  List.concat_map
+    (fun c -> [ c; { c with Config.pad_frames = true } ])
+    [ inline_cfg; revoke; pool_cfg; indirect_cfg ]
+
 let prop_burst_of_one_equals_single_slot =
   (* A burst of one is *exactly* the single-slot operation: same ring
-     counters, same metered cost, bit for bit. *)
+     counters, same metered cost, same frames, bit for bit. *)
   QCheck.Test.make ~name:"burst of one ≡ single-slot (counters and cost)" ~count:60
-    QCheck.(int_range 1 2047)
-    (fun len ->
+    QCheck.(pair (int_range 1 2047) (int_range 0 (List.length burst_of_one_cfgs - 1)))
+    (fun (len, i) ->
+      let cfg = List.nth burst_of_one_cfgs i in
       let payload = Bytes.make len 'q' in
       let run ~burst =
-        let drv, host, _ = make () in
+        let drv, host, sent = make ~cfg () in
         (if burst then ignore (Driver.transmit_burst drv [| payload |])
          else ignore (Driver.transmit drv payload));
         Host_model.poll host;
         Host_model.deliver_rx host payload;
         Host_model.poll host;
-        (if burst then ignore (Driver.poll_burst drv ~max:1) else ignore (Driver.poll drv));
+        let rx = if burst then Driver.poll_burst drv ~max:1 else Option.to_list (Driver.poll drv) in
         let c r = let k = Ring.counters r in (k.Ring.produced, k.Ring.consumed) in
-        (Cost.total (Driver.guest_meter drv), c (Driver.tx_ring drv), c (Driver.rx_ring drv))
+        ( Cost.snapshot (Driver.guest_meter drv),
+          c (Driver.tx_ring drv),
+          c (Driver.rx_ring drv),
+          List.map Bytes.to_string (!sent @ rx) )
       in
       run ~burst:true = run ~burst:false)
 

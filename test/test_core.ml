@@ -45,7 +45,6 @@ let test_observability_ordering () =
   Alcotest.(check bool) "dual > tunneled" true (dual > tun)
 
 let test_tcb_ordering () =
-  Cio_tcb.Tcb.set_repo_root ".";
   let dual = run_quick C.Dual_boundary and pass = run_quick C.Passthrough_l2 in
   Alcotest.(check bool) "dual core TCB < passthrough core TCB" true
     (dual.C.tcb_core_loc < pass.C.tcb_core_loc);

@@ -186,7 +186,6 @@ let test_multiqueue_critical_path () =
 (* --- experiment registry smoke ------------------------------------------- *)
 
 let test_every_experiment_runs () =
-  Cio_tcb.Tcb.set_repo_root ".";
   List.iter
     (fun (id, _, f) ->
       (* Skip the slowest end-to-end sweeps here; they run in bench and in

@@ -1,4 +1,6 @@
 let () =
+  (* Figure 5/E6 LoC are counted from the source tree, which must exist. *)
+  Cio_tcb.Tcb.set_repo_root (Helpers.repo_root ());
   Alcotest.run "cio"
     [
       ("util", Test_util.suite);

@@ -45,7 +45,6 @@ let test_more_kinds_more_score () =
     (Observe.score many > Observe.score few)
 
 let test_tcb_components_measured () =
-  Tcb.set_repo_root ".";
   List.iter
     (fun name -> Alcotest.(check bool) (name ^ " nonzero") true (Tcb.loc name > 0))
     [ "tcpip-stack"; "virtio-driver"; "cionet-driver"; "tls"; "crypto"; "compartment-runtime" ]
@@ -53,6 +52,17 @@ let test_tcb_components_measured () =
 let test_tcb_unknown_component () =
   Alcotest.check_raises "unknown" (Invalid_argument "Tcb.loc: unknown component nonesuch")
     (fun () -> ignore (Tcb.loc "nonesuch"))
+
+let test_tcb_missing_tree_raises () =
+  (* No stand-in numbers: counting against a tree without lib/ fails. *)
+  let root = Helpers.repo_root () in
+  Fun.protect
+    ~finally:(fun () -> Tcb.set_repo_root root)
+    (fun () ->
+      Tcb.set_repo_root (Filename.concat root "no-such-tree");
+      match Tcb.loc "tls" with
+      | n -> Alcotest.failf "counted %d LoC from a missing tree" n
+      | exception Failure _ -> ())
 
 let test_tcb_profiles_complete () =
   List.iter
@@ -63,7 +73,6 @@ let test_tcb_profiles_complete () =
     [ "syscall-l5"; "passthrough-l2"; "hardened-virtio"; "tunneled"; "dual-boundary" ]
 
 let test_tcb_dual_smallest_l2_core () =
-  Tcb.set_repo_root ".";
   Alcotest.(check bool) "dual < passthrough" true
     (Tcb.core_loc "dual-boundary" < Tcb.core_loc "passthrough-l2");
   Alcotest.(check bool) "dual quarantined > 0" true (Tcb.quarantined_loc "dual-boundary" > 0);
@@ -75,13 +84,12 @@ let test_tcb_stack_outside_dual_core () =
   Alcotest.(check bool) "stack not in core" false (List.mem "tcpip-stack" p.Tcb.core)
 
 (* Every component a profile names must resolve against the *real* source
-   tree: its directories exist, contain OCaml, and count to a nonzero LoC
-   without the fallback. A renamed lib/ directory or a typo in a profile
-   would otherwise silently fall back to canned numbers and skew Fig. 5
-   (and cio_lint's trusted-file set, which derives from the same dirs). *)
+   tree: its directories exist, contain OCaml, and count to a nonzero LoC.
+   A renamed lib/ directory or a typo in a profile would otherwise skew
+   Fig. 5 (and cio_lint's trusted-file set, which derives from the same
+   dirs). *)
 let test_tcb_profiles_resolve_against_tree () =
   let root = Helpers.repo_root () in
-  Tcb.set_repo_root root;
   let referenced =
     List.concat_map (fun p -> p.Tcb.core @ p.Tcb.quarantined) Tcb.profiles
     |> List.sort_uniq compare
@@ -104,8 +112,31 @@ let test_tcb_profiles_resolve_against_tree () =
           Alcotest.(check bool) (dir ^ " has OCaml sources") true (mls <> []))
         (Tcb.component_dirs name);
       Alcotest.(check bool) (name ^ " counts real LoC") true (Tcb.loc name > 0))
-    referenced;
-  Tcb.set_repo_root "."
+    referenced
+
+(* EXPERIMENTS.md's E6 section quotes the live [cio_sim run e6] lines;
+   every profile's line, as [Tcb.pp_profile] prints it now, must appear
+   there verbatim, so a TCB change that is not re-documented fails here. *)
+let test_tcb_e6_doc_matches_live () =
+  let doc =
+    In_channel.with_open_text (Filename.concat (Helpers.repo_root ()) "EXPERIMENTS.md")
+      In_channel.input_all
+  in
+  let rec body = function
+    | l :: rest when not (String.starts_with ~prefix:"## " l) -> l :: body rest
+    | _ -> []
+  in
+  let rec from_e6 = function
+    | [] -> Alcotest.fail "EXPERIMENTS.md has no E6 section"
+    | l :: rest -> if String.starts_with ~prefix:"## E6 " l then body rest else from_e6 rest
+  in
+  let section = from_e6 (String.split_on_char '\n' doc) in
+  List.iter
+    (fun p ->
+      let live = Fmt.str "  %a" Tcb.pp_profile p.Tcb.config in
+      if not (List.mem live section) then
+        Alcotest.failf "E6 in EXPERIMENTS.md does not show the live line:\n%s" live)
+    Tcb.profiles
 
 let suite =
   [
@@ -116,9 +147,12 @@ let suite =
     Alcotest.test_case "observe: kind richness" `Quick test_more_kinds_more_score;
     Alcotest.test_case "tcb: components measured" `Quick test_tcb_components_measured;
     Alcotest.test_case "tcb: unknown component" `Quick test_tcb_unknown_component;
+    Alcotest.test_case "tcb: missing tree raises" `Quick test_tcb_missing_tree_raises;
     Alcotest.test_case "tcb: profiles complete" `Quick test_tcb_profiles_complete;
     Alcotest.test_case "tcb: dual smallest L2 core" `Quick test_tcb_dual_smallest_l2_core;
     Alcotest.test_case "tcb: stack quarantined in dual" `Quick test_tcb_stack_outside_dual_core;
+    Alcotest.test_case "tcb: EXPERIMENTS.md E6 matches live count" `Quick
+      test_tcb_e6_doc_matches_live;
     Alcotest.test_case "tcb: profiles resolve against the tree" `Quick
       test_tcb_profiles_resolve_against_tree;
   ]

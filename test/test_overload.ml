@@ -204,7 +204,7 @@ let test_stack_bounded_txq_sheds () =
 
 (* --- typed driver backpressure ------------------------------------------ *)
 
-let test_driver_transmit_ex_ring_full () =
+let test_driver_ring_full_backpressure () =
   let cfg =
     { Config.default with Config.ring_slots = 8;
       positioning = Config.Inline { data_capacity = 2048 } }
@@ -213,10 +213,7 @@ let test_driver_transmit_ex_ring_full () =
   (* No host poll: the TX ring fills and stays full. *)
   let payload = Bytes.make 64 'x' in
   for i = 1 to 8 do
-    Alcotest.(check bool)
-      (Printf.sprintf "slot %d accepted" i)
-      true
-      (accepted (Driver.transmit_ex drv payload))
+    Alcotest.(check bool) (Printf.sprintf "slot %d accepted" i) true (Driver.transmit drv payload)
   done;
   Alcotest.(check int) "occupancy at capacity" 8 (Driver.tx_occupancy drv);
   Alcotest.(check bool) "full ring reports hard pressure" true
@@ -224,13 +221,10 @@ let test_driver_transmit_ex_ring_full () =
   let rf0 =
     Metrics.counter_value (Metrics.counter Metrics.default "overload.bp.ring_full")
   in
-  (match Driver.transmit_ex drv payload with
-  | Pressure.Backpressure Pressure.Ring_full -> ()
-  | _ -> Alcotest.fail "full ring must refuse with the Ring_full reason");
-  let n, outcome = Driver.transmit_burst_ex drv [| payload; payload |] in
-  Alcotest.(check int) "burst accepts nothing on a full ring" 0 n;
-  Alcotest.(check bool) "burst reports the same reason" true
-    (outcome = Pressure.Backpressure Pressure.Ring_full);
+  Alcotest.(check bool) "full ring refuses" false (Driver.transmit drv payload);
+  Alcotest.(check int) "burst accepts nothing on a full ring" 0
+    (Driver.transmit_burst drv [| payload; payload |]);
+  Alcotest.(check int) "refusals leave the ring full" 8 (Driver.tx_occupancy drv);
   let rf1 =
     Metrics.counter_value (Metrics.counter Metrics.default "overload.bp.ring_full")
   in
@@ -404,7 +398,7 @@ let suite =
     Alcotest.test_case "deadline: propagation and shed" `Quick test_deadline_propagation;
     Alcotest.test_case "stack: bounded TX queue sheds" `Quick test_stack_bounded_txq_sheds;
     Alcotest.test_case "driver: typed ring-full backpressure" `Quick
-      test_driver_transmit_ex_ring_full;
+      test_driver_ring_full_backpressure;
     Helpers.qtest prop_watchdog_backoff_under_budget;
     Helpers.qtest prop_composed_faults_breaker_recloses;
     Alcotest.test_case "E22: graceful degradation under load" `Slow
