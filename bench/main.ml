@@ -125,6 +125,16 @@ let test_crypto_primitives () =
       (Staged.stage (fun () -> ignore (Cio_crypto.Aead.seal ~key ~nonce ~aad:Bytes.empty data)));
   ]
 
+(* One run = seal a 16 KiB record and open it again: the record cipher
+   on the largest record the L5 channel carries. *)
+let test_aead_seal_open () =
+  let data = Bytes.make 16384 'a' in
+  let key = Bytes.make 32 'k' and nonce = Bytes.make 12 'n' in
+  Test.make ~name:"aead-seal-open-16KiB"
+    (Staged.stage (fun () ->
+         let sealed = Cio_crypto.Aead.seal ~key ~nonce ~aad:Bytes.empty data in
+         ignore (Cio_crypto.Aead.open_ ~key ~nonce ~aad:Bytes.empty sealed)))
+
 let test_packed ~hardened name =
   let tr = Cio_virtio.Packed.create_transport ~name:("bench-" ^ name) () in
   let dev = Cio_virtio.Packed.create_device ~transport:tr ~transmit:(fun _ -> ()) in
@@ -187,9 +197,9 @@ let test_dda () =
         (Staged.stage (fun () -> ignore (Cio_dda.Dda.transfer t payload)))
 
 let micro_tests ?(smoke = false) () =
-  (* The cionet subset is the perf trajectory CI tracks against
-     BENCH_baseline.json; --smoke runs only these. *)
-  let cionet =
+  (* The cionet subset and the record cipher are the perf trajectory CI
+     tracks against BENCH_baseline.json; --smoke runs only these. *)
+  let tracked =
     [
       test_ring_roundtrip (Cio_cionet.Config.Inline { data_capacity = 4096 }) "inline";
       test_ring_roundtrip (Cio_cionet.Config.Pool { pool_slots = 128; pool_slot_size = 2048 }) "pool";
@@ -205,6 +215,7 @@ let micro_tests ?(smoke = false) () =
         "indirect" ~depth:16;
       test_ring_burst (Cio_cionet.Config.Inline { data_capacity = 4096 }) "inline" ~depth:64;
       test_overload_admission ();
+      test_aead_seal_open ();
     ]
   in
   let full =
@@ -221,7 +232,7 @@ let micro_tests ?(smoke = false) () =
     @ test_crypto_primitives ()
     @ List.map test_echo_configuration Cio_core.Configurations.all_kinds
   in
-  Test.make_grouped ~name:"cio" (if smoke then cionet else cionet @ full)
+  Test.make_grouped ~name:"cio" (if smoke then tracked else tracked @ full)
 
 let () = Bechamel_notty.Unit.add Instance.monotonic_clock "ns"
 

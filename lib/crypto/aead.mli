@@ -4,13 +4,15 @@ val tag_len : int
 val key_len : int
 val nonce_len : int
 
-val encrypt : key:bytes -> nonce:bytes -> aad:bytes -> bytes -> bytes * bytes
-(** [(ciphertext, tag)]. *)
-
-val decrypt : key:bytes -> nonce:bytes -> aad:bytes -> tag:bytes -> bytes -> bytes option
-(** [None] on authentication failure; no plaintext is released. *)
-
 val seal : key:bytes -> nonce:bytes -> aad:bytes -> bytes -> bytes
-(** Ciphertext with the tag appended. *)
+(** Ciphertext with the tag appended, in one fresh buffer. *)
 
-val open_ : key:bytes -> nonce:bytes -> aad:bytes -> bytes -> bytes option
+val seal_into : key:bytes -> nonce:bytes -> aad:bytes -> bytes -> bytes -> off:int -> unit
+(** [seal_into ~key ~nonce ~aad plaintext dst ~off] writes what {!seal}
+    returns to [dst] at [off]. Raises [Invalid_argument] if it does not
+    fit. *)
+
+val open_ : ?off:int -> ?len:int -> key:bytes -> nonce:bytes -> aad:bytes -> bytes -> bytes option
+(** Opens the sealed record in [len] bytes of the buffer at [off] (default:
+    all of it). [None] on authentication failure or a record shorter than
+    the tag; no plaintext is released. *)

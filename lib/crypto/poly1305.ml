@@ -2,171 +2,130 @@
 
    Arithmetic over 2^130 - 5 with five 26-bit limbs in native ints: limb
    products are at most 52 bits and a row of five fits comfortably in
-   OCaml's 63-bit ints, so no big-number library is needed. *)
+   OCaml's 63-bit ints, so no big-number library is needed. Blocks are
+   absorbed straight from the caller's bytes; only a trailing partial
+   block is staged in [buf]. Nothing is allocated per block. *)
 
 type t = {
-  r : int array;              (* clamped key, 5 limbs *)
-  s : int array;              (* final addend, 4 x 32-bit words *)
-  h : int array;              (* accumulator, 5 limbs *)
-  buf : bytes;                (* 16-byte input buffer *)
+  r0 : int; r1 : int; r2 : int; r3 : int; r4 : int;  (* clamped key limbs *)
+  s1 : int; s2 : int; s3 : int; s4 : int;            (* 5 * r1 .. 5 * r4 *)
+  pad : int array;              (* final addend, 4 x 32-bit words *)
+  mutable h0 : int; mutable h1 : int; mutable h2 : int; mutable h3 : int; mutable h4 : int;
+  buf : bytes;                  (* staged partial block *)
   mutable fill : int;
 }
 
 let mask26 = (1 lsl 26) - 1
-
-let u32 b off =
-  Char.code (Bytes.get b off)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 3)) lsl 24)
+let mask32 = 0xFFFF_FFFF
+let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land mask32
 
 let init ~key =
   if Bytes.length key <> 32 then invalid_arg "Poly1305.init: key must be 32 bytes";
   (* Clamp r per the RFC. *)
-  let r0 = u32 key 0 land 0x0FFFFFFF in
-  let r1 = u32 key 4 land 0x0FFFFFFC in
-  let r2 = u32 key 8 land 0x0FFFFFFC in
-  let r3 = u32 key 12 land 0x0FFFFFFC in
-  let r =
-    [|
-      r0 land mask26;
-      ((r0 lsr 26) lor (r1 lsl 6)) land mask26;
-      ((r1 lsr 20) lor (r2 lsl 12)) land mask26;
-      ((r2 lsr 14) lor (r3 lsl 18)) land mask26;
-      r3 lsr 8;
-    |]
-  in
+  let k0 = u32 key 0 land 0x0FFFFFFF in
+  let k1 = u32 key 4 land 0x0FFFFFFC in
+  let k2 = u32 key 8 land 0x0FFFFFFC in
+  let k3 = u32 key 12 land 0x0FFFFFFC in
+  let r1 = ((k0 lsr 26) lor (k1 lsl 6)) land mask26 in
+  let r2 = ((k1 lsr 20) lor (k2 lsl 12)) land mask26 in
+  let r3 = ((k2 lsr 14) lor (k3 lsl 18)) land mask26 in
+  let r4 = k3 lsr 8 in
   {
-    r;
-    s = [| u32 key 16; u32 key 20; u32 key 24; u32 key 28 |];
-    h = Array.make 5 0;
+    r0 = k0 land mask26; r1; r2; r3; r4;
+    s1 = 5 * r1; s2 = 5 * r2; s3 = 5 * r3; s4 = 5 * r4;
+    pad = [| u32 key 16; u32 key 20; u32 key 24; u32 key 28 |];
+    h0 = 0; h1 = 0; h2 = 0; h3 = 0; h4 = 0;
     buf = Bytes.create 16;
     fill = 0;
   }
 
-(* Process one 16-byte block (or final partial block with its own pad). *)
-let process t block ~partial_len =
-  let full = partial_len = 0 in
-  let m = Bytes.make 17 '\000' in
-  if full then begin
-    Bytes.blit block 0 m 0 16;
-    Bytes.set m 16 '\001'
-  end
-  else begin
-    Bytes.blit block 0 m 0 partial_len;
-    Bytes.set m partial_len '\001'
-  end;
-  let w0 = u32 m 0 and w1 = u32 m 4 and w2 = u32 m 8 and w3 = u32 m 12 in
-  let hi = Char.code (Bytes.get m 16) in
-  let h = t.h and r = t.r in
-  h.(0) <- h.(0) + (w0 land mask26);
-  h.(1) <- h.(1) + (((w0 lsr 26) lor (w1 lsl 6)) land mask26);
-  h.(2) <- h.(2) + (((w1 lsr 20) lor (w2 lsl 12)) land mask26);
-  h.(3) <- h.(3) + (((w2 lsr 14) lor (w3 lsl 18)) land mask26);
-  h.(4) <- h.(4) + ((w3 lsr 8) lor (hi lsl 24));
+(* Absorb the 16 bytes of [b] at [off]; [hibit] is the 2^128 pad bit of a
+   full block (1 lsl 24 in the top limb), 0 for the padded final block. *)
+let block t b off ~hibit =
+  let w0 = u32 b off and w1 = u32 b (off + 4) and w2 = u32 b (off + 8) and w3 = u32 b (off + 12) in
+  let h0 = t.h0 + (w0 land mask26) in
+  let h1 = t.h1 + (((w0 lsr 26) lor (w1 lsl 6)) land mask26) in
+  let h2 = t.h2 + (((w1 lsr 20) lor (w2 lsl 12)) land mask26) in
+  let h3 = t.h3 + (((w2 lsr 14) lor (w3 lsl 18)) land mask26) in
+  let h4 = t.h4 + ((w3 lsr 8) lor hibit) in
   (* h <- h * r mod 2^130-5, schoolbook with 5*r folding. *)
-  let r5 = Array.map (fun x -> 5 * x) r in
-  let d0 = (h.(0) * r.(0)) + (h.(1) * r5.(4)) + (h.(2) * r5.(3)) + (h.(3) * r5.(2)) + (h.(4) * r5.(1)) in
-  let d1 = (h.(0) * r.(1)) + (h.(1) * r.(0)) + (h.(2) * r5.(4)) + (h.(3) * r5.(3)) + (h.(4) * r5.(2)) in
-  let d2 = (h.(0) * r.(2)) + (h.(1) * r.(1)) + (h.(2) * r.(0)) + (h.(3) * r5.(4)) + (h.(4) * r5.(3)) in
-  let d3 = (h.(0) * r.(3)) + (h.(1) * r.(2)) + (h.(2) * r.(1)) + (h.(3) * r.(0)) + (h.(4) * r5.(4)) in
-  let d4 = (h.(0) * r.(4)) + (h.(1) * r.(3)) + (h.(2) * r.(2)) + (h.(3) * r.(1)) + (h.(4) * r.(0)) in
+  let d0 = (h0 * t.r0) + (h1 * t.s4) + (h2 * t.s3) + (h3 * t.s2) + (h4 * t.s1) in
+  let d1 = (h0 * t.r1) + (h1 * t.r0) + (h2 * t.s4) + (h3 * t.s3) + (h4 * t.s2) in
+  let d2 = (h0 * t.r2) + (h1 * t.r1) + (h2 * t.r0) + (h3 * t.s4) + (h4 * t.s3) in
+  let d3 = (h0 * t.r3) + (h1 * t.r2) + (h2 * t.r1) + (h3 * t.r0) + (h4 * t.s4) in
+  let d4 = (h0 * t.r4) + (h1 * t.r3) + (h2 * t.r2) + (h3 * t.r1) + (h4 * t.r0) in
   (* Carry propagation. *)
-  let c = d0 lsr 26 in
-  let d1 = d1 + c in
-  h.(0) <- d0 land mask26;
-  let c = d1 lsr 26 in
-  let d2 = d2 + c in
-  h.(1) <- d1 land mask26;
-  let c = d2 lsr 26 in
-  let d3 = d3 + c in
-  h.(2) <- d2 land mask26;
-  let c = d3 lsr 26 in
-  let d4 = d4 + c in
-  h.(3) <- d3 land mask26;
-  let c = d4 lsr 26 in
-  h.(4) <- d4 land mask26;
-  h.(0) <- h.(0) + (5 * c);
-  let c = h.(0) lsr 26 in
-  h.(0) <- h.(0) land mask26;
-  h.(1) <- h.(1) + c
+  let d1 = d1 + (d0 lsr 26) in
+  let d2 = d2 + (d1 lsr 26) in
+  let d3 = d3 + (d2 lsr 26) in
+  let d4 = d4 + (d3 lsr 26) in
+  let h0 = (d0 land mask26) + (5 * (d4 lsr 26)) in
+  t.h0 <- h0 land mask26;
+  t.h1 <- (d1 land mask26) + (h0 lsr 26);
+  t.h2 <- d2 land mask26;
+  t.h3 <- d3 land mask26;
+  t.h4 <- d4 land mask26
 
 let feed t src ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length src then
+  if pos < 0 || len < 0 || pos > Bytes.length src - len then
     invalid_arg "Poly1305.feed: range out of bounds";
-  let pos = ref pos and remaining = ref len in
+  let pos = ref pos and stop = pos + len in
   if t.fill > 0 then begin
-    let take = min !remaining (16 - t.fill) in
+    let take = min len (16 - t.fill) in
     Bytes.blit src !pos t.buf t.fill take;
     t.fill <- t.fill + take;
     pos := !pos + take;
-    remaining := !remaining - take;
     if t.fill = 16 then begin
-      process t t.buf ~partial_len:0;
+      block t t.buf 0 ~hibit:(1 lsl 24);
       t.fill <- 0
     end
   end;
-  while !remaining >= 16 do
-    let blk = Bytes.sub src !pos 16 in
-    process t blk ~partial_len:0;
-    pos := !pos + 16;
-    remaining := !remaining - 16
+  while stop - !pos >= 16 do
+    block t src !pos ~hibit:(1 lsl 24);
+    pos := !pos + 16
   done;
-  if !remaining > 0 then begin
-    Bytes.blit src !pos t.buf t.fill !remaining;
-    t.fill <- t.fill + !remaining
+  if !pos < stop then begin
+    Bytes.blit src !pos t.buf t.fill (stop - !pos);
+    t.fill <- t.fill + (stop - !pos)
   end
 
 let feed_bytes t b = feed t b ~pos:0 ~len:(Bytes.length b)
 
 let finish t =
   if t.fill > 0 then begin
-    process t t.buf ~partial_len:t.fill;
+    (* The final partial block carries its own 0x01 pad byte. *)
+    Bytes.set t.buf t.fill '\001';
+    Bytes.fill t.buf (t.fill + 1) (15 - t.fill) '\000';
+    block t t.buf 0 ~hibit:0;
     t.fill <- 0
   end;
-  let h = t.h in
   (* Full carry, then conditional subtraction of p = 2^130 - 5. *)
-  let c = ref 0 in
-  for i = 0 to 4 do
-    h.(i) <- h.(i) + !c;
-    c := h.(i) lsr 26;
-    h.(i) <- h.(i) land mask26
-  done;
-  h.(0) <- h.(0) + (5 * !c);
-  let c = h.(0) lsr 26 in
-  h.(0) <- h.(0) land mask26;
-  h.(1) <- h.(1) + c;
-  let g = Array.make 5 0 in
-  let c = ref 5 in
-  for i = 0 to 4 do
-    g.(i) <- h.(i) + !c;
-    c := g.(i) lsr 26;
-    g.(i) <- g.(i) land mask26
-  done;
-  (* If h + 5 overflowed 2^130, g = h - p; select it. *)
-  let use_g = !c > 0 in
-  let sel = if use_g then g else h in
+  let h1 = t.h1 + (t.h0 lsr 26) in
+  let h2 = t.h2 + (h1 lsr 26) in
+  let h3 = t.h3 + (h2 lsr 26) in
+  let h4 = t.h4 + (h3 lsr 26) in
+  let h0 = (t.h0 land mask26) + (5 * (h4 lsr 26)) in
+  let h1 = (h1 land mask26) + (h0 lsr 26) in
+  let h0 = h0 land mask26 and h2 = h2 land mask26 and h3 = h3 land mask26 and h4 = h4 land mask26 in
+  let g0 = h0 + 5 in
+  let g1 = h1 + (g0 lsr 26) in
+  let g2 = h2 + (g1 lsr 26) in
+  let g3 = h3 + (g2 lsr 26) in
+  let g4 = h4 + (g3 lsr 26) in
+  (* If h + 5 overflowed 2^130, g = h - p: select it without branching. *)
+  let use_g = -(g4 lsr 26) in
+  let sel h g = (h land lnot use_g) lor (g land mask26 land use_g) in
+  let h0 = sel h0 g0 and h1 = sel h1 g1 and h2 = sel h2 g2 and h3 = sel h3 g3 and h4 = sel h4 g4 in
   (* Serialise to 128 bits and add s with 32-bit carries. *)
-  let w0 = sel.(0) lor (sel.(1) lsl 26) in
-  let w1 = (sel.(1) lsr 6) lor (sel.(2) lsl 20) in
-  let w2 = (sel.(2) lsr 12) lor (sel.(3) lsl 14) in
-  let w3 = (sel.(3) lsr 18) lor (sel.(4) lsl 8) in
-  let mask32 = 0xFFFFFFFF in
-  let f0 = (w0 land mask32) + t.s.(0) in
-  let f1 = (w1 land mask32) + t.s.(1) + (f0 lsr 32) in
-  let f2 = (w2 land mask32) + t.s.(2) + (f1 lsr 32) in
-  let f3 = (w3 land mask32) + t.s.(3) + (f2 lsr 32) in
+  let f0 = ((h0 lor (h1 lsl 26)) land mask32) + t.pad.(0) in
+  let f1 = (((h1 lsr 6) lor (h2 lsl 20)) land mask32) + t.pad.(1) + (f0 lsr 32) in
+  let f2 = (((h2 lsr 12) lor (h3 lsl 14)) land mask32) + t.pad.(2) + (f1 lsr 32) in
+  let f3 = (((h3 lsr 18) lor (h4 lsl 8)) land mask32) + t.pad.(3) + (f2 lsr 32) in
   let out = Bytes.create 16 in
-  let put off v =
-    Bytes.set out off (Char.chr (v land 0xFF));
-    Bytes.set out (off + 1) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out (off + 2) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out (off + 3) (Char.chr ((v lsr 24) land 0xFF))
-  in
-  put 0 f0;
-  put 4 f1;
-  put 8 f2;
-  put 12 f3;
+  Bytes.set_int32_le out 0 (Int32.of_int f0);
+  Bytes.set_int32_le out 4 (Int32.of_int f1);
+  Bytes.set_int32_le out 8 (Int32.of_int f2);
+  Bytes.set_int32_le out 12 (Int32.of_int f3);
   out
 
 let mac ~key msg =

@@ -114,21 +114,23 @@ let seal_record t ~ctype plaintext =
       let clen = Bytes.length plaintext + Aead.tag_len in
       let aad = Wire.header ~ctype ~len:clen in
       let nonce = Keys.nonce ~iv:dk.Keys.iv ~seq:t.send_seq in
-      let sealed = Aead.seal ~key:dk.Keys.key ~nonce ~aad plaintext in
+      let record = Bytes.create (Wire.header_len + clen) in
+      Bytes.blit aad 0 record 0 Wire.header_len;
+      Aead.seal_into ~key:dk.Keys.key ~nonce ~aad plaintext record ~off:Wire.header_len;
       charge_aead t (Bytes.length plaintext);
       t.send_seq <- Int64.add t.send_seq 1L;
       t.records_sent <- t.records_sent + 1;
-      Ok (Bytes.cat aad sealed)
+      Ok record
 
-let open_record t (r : Wire.record) =
+let open_record t (r : Wire.view) =
   match t.keys with
   | None -> Error (Bad_state "protected record before key derivation")
   | Some k ->
       let dk = recv_keys t k in
-      let aad = Wire.header ~ctype:r.Wire.ctype ~len:(Bytes.length r.Wire.body) in
+      let aad = Wire.header ~ctype:r.Wire.kind ~len:r.Wire.len in
       let nonce = Keys.nonce ~iv:dk.Keys.iv ~seq:t.recv_seq in
-      charge_aead t (Bytes.length r.Wire.body);
-      (match Aead.open_ ~key:dk.Keys.key ~nonce ~aad r.Wire.body with
+      charge_aead t r.Wire.len;
+      (match Aead.open_ ~off:r.Wire.off ~len:r.Wire.len ~key:dk.Keys.key ~nonce ~aad r.Wire.store with
       | Some plaintext ->
           (* The sequence number only advances on success: a replayed or
              reordered record authenticates against the wrong nonce and
@@ -243,18 +245,15 @@ let verify_finished t plaintext =
     if Ct.equal (Bytes.sub expected 1 32) (Bytes.sub plaintext 1 32) then Ok () else Error Auth_failed
   end
 
-let process_record t (r : Wire.record) =
-  match (t.state, r.Wire.ctype) with
+let process_record t (r : Wire.view) =
+  let msg_type = if r.Wire.len > 0 then Char.code (Bytes.get r.Wire.store r.Wire.off) else -1 in
+  match (t.state, r.Wire.kind) with
   | Dead, _ -> Error (Bad_state "session dead")
-  | Start, Wire.Handshake
-    when t.role = Server
-         && Bytes.length r.Wire.body > 0
-         && Char.code (Bytes.get r.Wire.body 0) = msg_client_hello -> (
-      match handle_client_hello t r.Wire.body with Ok outs -> Ok (outs, []) | Error e -> Error e)
+  | Start, Wire.Handshake when t.role = Server && msg_type = msg_client_hello -> (
+      match handle_client_hello t (Wire.body r) with Ok outs -> Ok (outs, []) | Error e -> Error e)
   | Start, _ -> Error (Bad_state "no handshake yet")
-  | Wait_server_hello, Wire.Handshake when Bytes.length r.Wire.body > 0
-      && Char.code (Bytes.get r.Wire.body 0) = msg_server_hello -> (
-      match handle_server_hello t r.Wire.body with Ok outs -> Ok (outs, []) | Error e -> Error e)
+  | Wait_server_hello, Wire.Handshake when msg_type = msg_server_hello -> (
+      match handle_server_hello t (Wire.body r) with Ok outs -> Ok (outs, []) | Error e -> Error e)
   | Wait_server_finished, Wire.Handshake -> (
       (* Protected server Finished. *)
       match open_record t r with

@@ -41,31 +41,55 @@ let encode { ctype; body } =
   if len > max_body then invalid_arg "Wire.encode: record body too large";
   Bytes.cat (header ~ctype ~len) body
 
-type splitter = { buf : Buffer.t; mutable dead : bool }
+(* Pending stream bytes are [buf.[start, stop)]. Complete records are
+   handed out as views into [buf] rather than copied out of it, so a view
+   is only valid until the next [feed], which may compact or replace the
+   store. *)
+type splitter = { mutable buf : bytes; mutable start : int; mutable stop : int; mutable dead : bool }
 
-let splitter () = { buf = Buffer.create 4096; dead = false }
+let splitter () = { buf = Bytes.create 4096; start = 0; stop = 0; dead = false }
 
-type split_result = Records of record list | Malformed of string
+type view = { kind : content_type; store : bytes; off : int; len : int }
+
+let body v = Bytes.sub v.store v.off v.len
+
+type split_result = Records of view list | Malformed of string
+
+(* Make room for [n] more bytes at the tail: move the pending bytes to the
+   front, into a store of twice the size if they still would not fit. *)
+let reserve t n =
+  let pending = t.stop - t.start in
+  if t.stop + n > Bytes.length t.buf then begin
+    let rec grow c = if c >= pending + n then c else grow (2 * c) in
+    let cap = grow (Bytes.length t.buf) in
+    let dst = if cap > Bytes.length t.buf then Bytes.create cap else t.buf in
+    Bytes.blit t.buf t.start dst 0 pending;
+    t.buf <- dst;
+    t.start <- 0;
+    t.stop <- pending
+  end
 
 let feed t data =
   if t.dead then Malformed "splitter poisoned by earlier malformed input"
   else begin
-    Buffer.add_bytes t.buf data;
+    reserve t (Bytes.length data);
+    Bytes.blit data 0 t.buf t.stop (Bytes.length data);
+    t.stop <- t.stop + Bytes.length data;
     let out = ref [] in
     let err = ref None in
     let continue = ref true in
     while !continue do
-      let have = Buffer.length t.buf in
+      let have = t.stop - t.start in
       if have < header_len then continue := false
       else begin
-        let hdr = Buffer.sub t.buf 0 header_len in
-        match content_of_code (Char.code hdr.[0]) with
+        let code = Char.code (Bytes.get t.buf t.start) in
+        match content_of_code code with
         | None ->
             t.dead <- true;
-            err := Some (Printf.sprintf "unknown content type %d" (Char.code hdr.[0]));
+            err := Some (Printf.sprintf "unknown content type %d" code);
             continue := false
-        | Some ctype ->
-            let len = (Char.code hdr.[2] lsl 8) lor Char.code hdr.[3] in
+        | Some kind ->
+            let len = Bytes.get_uint16_be t.buf (t.start + 2) in
             if len > max_body then begin
               t.dead <- true;
               err := Some (Printf.sprintf "record length %d exceeds limit" len);
@@ -73,11 +97,8 @@ let feed t data =
             end
             else if have < header_len + len then continue := false
             else begin
-              let body = Bytes.of_string (Buffer.sub t.buf header_len len) in
-              let rest = Buffer.sub t.buf (header_len + len) (have - header_len - len) in
-              Buffer.clear t.buf;
-              Buffer.add_string t.buf rest;
-              out := { ctype; body } :: !out
+              out := { kind; store = t.buf; off = t.start + header_len; len } :: !out;
+              t.start <- t.start + header_len + len
             end
       end
     done;

@@ -22,9 +22,17 @@ type splitter
 
 val splitter : unit -> splitter
 
-type split_result = Records of record list | Malformed of string
+type view = { kind : content_type; store : bytes; off : int; len : int }
+(** A split record: its body is the [len] bytes at [off] of [store], the
+    splitter's own buffer. Valid only until the next {!feed} on the same
+    splitter, which may overwrite it. *)
+
+val body : view -> bytes
+(** A copy of the body that outlives the view. *)
+
+type split_result = Records of view list | Malformed of string
 
 val feed : splitter -> bytes -> split_result
-(** Accumulate stream bytes; emit complete records. Malformed input
-    poisons the splitter permanently (fail-closed, no error recovery
-    path). *)
+(** Accumulate stream bytes; emit views of the complete records, with no
+    copy of their bodies. Malformed input poisons the splitter
+    permanently (fail-closed, no error recovery path). *)

@@ -5,8 +5,9 @@ Usage: check_bench_baseline.py CURRENT.json BASELINE.json [--strict]
 
 Both files are cio-bench-v1 JSON as written by `bench/main.exe --json`.
 Compares the `micro_ns_per_run` entries whose names start with
-"cio/cionet": warns when a micro got more than 10% slower than the
-baseline (exit 1 with --strict), and checks the batching win — a burst
+"cio/cionet" (the L2 datapath) or "cio/aead" (the L5 record cipher):
+warns when a micro got more than 10% slower than the baseline (exit 1
+with --strict), and checks the batching win — a burst
 micro of depth d must cost less per frame than d times its single-slot
 counterpart wherever both are present.
 
@@ -22,6 +23,7 @@ import sys
 
 SLOWDOWN_TOLERANCE = 1.10
 PREFIX = "cio/cionet"
+TRACKED = (PREFIX, "cio/aead")
 
 
 def load(path, optional=False):
@@ -49,7 +51,7 @@ def load(path, optional=False):
         sys.exit(f"error: {path}: micro_ns_per_run is not an object")
     out = {}
     for k, v in micro.items():
-        if not k.startswith(PREFIX):
+        if not k.startswith(TRACKED):
             continue
         try:
             out[k] = float(v)
@@ -130,7 +132,7 @@ def main(argv):
     current = load(args[0])
     baseline = load(args[1], optional=True)
     if not current:
-        sys.exit(f"error: {args[0]}: no {PREFIX} micros (run bench with micros enabled)")
+        sys.exit(f"error: {args[0]}: no {' or '.join(TRACKED)} micros (run bench with micros enabled)")
     if baseline is None:
         # No baseline to compare against: still run the self-contained
         # batching check, which needs only the current run.

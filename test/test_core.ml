@@ -204,6 +204,33 @@ let test_dual_echo_steady_state_zero_alloc () =
   Alcotest.(check int) "zero per-frame allocations on the L2 path" fresh0
     (Cio_mem.Bufpool.stats pool).Cio_mem.Bufpool.fresh
 
+let test_tls_record_path_alloc_bounded () =
+  (* The record cipher's allocation bar: sealing one 16 KiB record and
+     opening it allocates the sealed record and the plaintext as its only
+     record-sized buffers, plus a few hundred words of per-record state
+     (nonce, header, one-time key, tag, cipher state). No word of the
+     cipher may be boxed, and the record body is never copied out of the
+     splitter. *)
+  let module S = Cio_tls.Session in
+  let client, server = Helpers.tls_pair () in
+  let payload = Bytes.init Cio_tls.Wire.max_plaintext (fun i -> Char.chr (i land 0xFF)) in
+  let roundtrip () =
+    match S.send_data client payload with
+    | Ok wire -> S.feed server wire
+    | Error e -> Alcotest.fail (S.error_to_string e)
+  in
+  (* Warm-up: the splitter's store grows to one record once. *)
+  for _ = 1 to 3 do ignore (roundtrip ()) done;
+  let w0 = Gc.minor_words () and b0 = Gc.allocated_bytes () in
+  let r = roundtrip () in
+  let words = Gc.minor_words () -. w0 and bytes = Gc.allocated_bytes () -. b0 in
+  Alcotest.(check bool) "payload delivered" true (r.S.err = None && r.S.app_data = [ payload ]);
+  Alcotest.(check bool) (Printf.sprintf "minor words %.0f <= 1024" words) true (words <= 1024.);
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated bytes %.0f < 3 x 16 KiB" bytes)
+    true
+    (bytes < float_of_int (3 * 16384))
+
 let test_channel_record_size_limit () =
   (* The largest payload one record carries crosses a Channel intact; one
      byte more is refused at the sender, instead of sealing a record the
@@ -293,4 +320,5 @@ let suite =
     Alcotest.test_case "channel copy knobs (E7)" `Quick test_channel_copy_knobs_change_costs;
     Alcotest.test_case "channel: 16384 B round-trips, 16385 B refused" `Quick
       test_channel_record_size_limit;
+    Alcotest.test_case "tls record path allocation bounded" `Quick test_tls_record_path_alloc_bounded;
   ]

@@ -147,44 +147,82 @@ let test_poly1305_streaming () =
   Alcotest.(check string) "streaming tag" "a8061dc1305136c6c22b8baf0c0127a9"
     (Hex.of_bytes (Poly1305.finish t))
 
+(* RFC 8439 appendix A.3 vectors #5-#11: carries across limbs, the sum of
+   s wrapping mod 2^128, and a polynomial result at or just below
+   p = 2^130 - 5, the only inputs that take the final subtraction of p. *)
+let poly1305_edge_vectors =
+  let z = String.make 32 '0' in
+  [
+    ("02" ^ String.make 30 '0' ^ z, String.make 32 'f', "03" ^ String.make 30 '0');
+    ("02" ^ String.make 30 '0' ^ String.make 32 'f', "02" ^ String.make 30 '0', "03" ^ String.make 30 '0');
+    ( "01" ^ String.make 30 '0' ^ z,
+      String.make 32 'f' ^ "f0" ^ String.make 30 'f' ^ "11" ^ String.make 30 '0',
+      "05" ^ String.make 30 '0' );
+    ( "01" ^ String.make 30 '0' ^ z,
+      String.make 32 'f' ^ "fb" ^ String.concat "" (List.init 15 (fun _ -> "fe"))
+      ^ String.concat "" (List.init 16 (fun _ -> "01")),
+      z );
+    ("02" ^ String.make 30 '0' ^ z, "fd" ^ String.make 30 'f', "fa" ^ String.make 30 'f');
+    ( "0100000000000000" ^ "0400000000000000" ^ z,
+      "e33594d7505e43b9" ^ "0000000000000000" ^ "3394d7505e4379cd" ^ "0100000000000000" ^ z
+      ^ "01" ^ String.make 30 '0',
+      "1400000000000000" ^ "5500000000000000" );
+    ( "0100000000000000" ^ "0400000000000000" ^ z,
+      "e33594d7505e43b9" ^ "0000000000000000" ^ "3394d7505e4379cd" ^ "0100000000000000" ^ z,
+      "13" ^ String.make 30 '0' );
+  ]
+
+let test_poly1305_edge_vectors () =
+  List.iteri
+    (fun i (key, msg, tag) ->
+      Alcotest.(check string) (Printf.sprintf "vector #%d" (i + 5)) tag
+        (Hex.of_bytes (Poly1305.mac ~key:(hex key) (hex msg))))
+    poly1305_edge_vectors
+
 (* --- AEAD (RFC 8439 §2.8.2) ------------------------------------------ *)
 
 let aead_key = hex "808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f"
 let aead_nonce = hex "070000004041424344454647"
 let aead_aad = hex "50515253c0c1c2c3c4c5c6c7"
 
+(* [seal] output split into ciphertext and tag. *)
+let seal_split ?(aad = aead_aad) ?(nonce = aead_nonce) pt =
+  let s = Aead.seal ~key:aead_key ~nonce ~aad pt in
+  let n = Bytes.length s - Aead.tag_len in
+  (Bytes.sub s 0 n, Bytes.sub s n Aead.tag_len)
+
+let open_parts ?(aad = aead_aad) ?(nonce = aead_nonce) ct tag =
+  Aead.open_ ~key:aead_key ~nonce ~aad (Bytes.cat ct tag)
+
 let test_aead_vector () =
-  let ct, tag = Aead.encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad (Bytes.of_string sunscreen) in
+  let ct, tag = seal_split (Bytes.of_string sunscreen) in
   Alcotest.(check string) "tag" "1ae10b594f09e26a7e902ecbd0600691" (Hex.of_bytes tag);
   Alcotest.(check string) "ct head" "d31a8d34648e60db7b86afbc53ef7ec2"
     (Hex.of_bytes (Bytes.sub ct 0 16))
 
 let test_aead_roundtrip () =
   let pt = Bytes.of_string "attack at dawn" in
-  let ct, tag = Aead.encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad pt in
-  match Aead.decrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad ~tag ct with
+  let ct, tag = seal_split pt in
+  match open_parts ct tag with
   | Some back -> Helpers.check_bytes "roundtrip" pt back
   | None -> Alcotest.fail "decrypt failed"
 
 let test_aead_rejects_tampered_ciphertext () =
-  let ct, tag = Aead.encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad (Bytes.of_string "data") in
+  let ct, tag = seal_split (Bytes.of_string "data") in
   Bytes.set ct 0 (Char.chr (Char.code (Bytes.get ct 0) lxor 1));
-  Alcotest.(check bool) "rejected" true
-    (Aead.decrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad ~tag ct = None)
+  Alcotest.(check bool) "rejected" true (open_parts ct tag = None)
 
 let test_aead_rejects_tampered_aad () =
-  let ct, tag = Aead.encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad (Bytes.of_string "data") in
+  let ct, tag = seal_split (Bytes.of_string "data") in
   let bad_aad = Bytes.copy aead_aad in
   Bytes.set bad_aad 0 'X';
-  Alcotest.(check bool) "rejected" true
-    (Aead.decrypt ~key:aead_key ~nonce:aead_nonce ~aad:bad_aad ~tag ct = None)
+  Alcotest.(check bool) "rejected" true (open_parts ~aad:bad_aad ct tag = None)
 
 let test_aead_rejects_wrong_nonce () =
-  let ct, tag = Aead.encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad (Bytes.of_string "data") in
+  let ct, tag = seal_split (Bytes.of_string "data") in
   let other = Bytes.copy aead_nonce in
   Bytes.set other 0 '\xFF';
-  Alcotest.(check bool) "rejected" true
-    (Aead.decrypt ~key:aead_key ~nonce:other ~aad:aead_aad ~tag ct = None)
+  Alcotest.(check bool) "rejected" true (open_parts ~nonce:other ct tag = None)
 
 let test_aead_seal_open () =
   let pt = Bytes.of_string "sealed message" in
@@ -208,8 +246,8 @@ let bytes_arb = QCheck.make ~print:(fun b -> Hex.of_bytes b) bytes_gen
 
 let prop_aead_roundtrip =
   QCheck.Test.make ~name:"AEAD decrypt . encrypt = id" ~count:200 bytes_arb (fun pt ->
-      let ct, tag = Aead.encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad pt in
-      match Aead.decrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad ~tag ct with
+      match Aead.open_ ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad
+              (Aead.seal ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad pt) with
       | Some back -> Bytes.equal back pt
       | None -> false)
 
@@ -222,6 +260,75 @@ let prop_aead_tamper_detected =
       let i = pos mod Bytes.length sealed in
       Bytes.set sealed i (Char.chr (Char.code (Bytes.get sealed i) lxor 0x10));
       Aead.open_ ~key:aead_key ~nonce:aead_nonce ~aad:Bytes.empty sealed = None)
+
+(* Golden digest: SHA-256 over the concatenated [Aead.seal] outputs of a
+   seeded sweep (plaintexts of 0-1100 B, crossing every 16- and 64-byte
+   boundary, each with a random key, nonce and aad of 0-47 B), followed by
+   a ChaCha20 encryption of 3 blocks from counter 0xFFFFFFFF, so the block
+   counter wraps to 0. The constant was computed with the earlier Int32-
+   array ChaCha20 and copy-per-block Poly1305, before the kernels moved to
+   native ints: the rewrite must be byte-for-byte the same cipher. *)
+let golden_sweep_digest =
+  "46e51877dcd9b8cdcf50c24a5972db7c8958353df5be7016bb6a39c2a11a4a35"
+
+let test_aead_golden_sweep () =
+  let rng = Rng.create 0x5EA1L in
+  let acc = Buffer.create (1 lsl 20) in
+  for len = 0 to 1100 do
+    let key = Rng.bytes rng 32 in
+    let nonce = Rng.bytes rng 12 in
+    let aad = Rng.bytes rng (Rng.int rng 48) in
+    let pt = Rng.bytes rng len in
+    Buffer.add_bytes acc (Aead.seal ~key ~nonce ~aad pt)
+  done;
+  let key = Rng.bytes rng 32 in
+  let nonce = Rng.bytes rng 12 in
+  let pt = Rng.bytes rng 192 in
+  Buffer.add_bytes acc (Chacha20.encrypt ~counter:0xFFFFFFFFl ~key ~nonce pt);
+  Alcotest.(check string) "sweep digest" golden_sweep_digest
+    (Sha256.hex_digest_string (Buffer.contents acc))
+
+let prop_poly1305_split_feeds =
+  QCheck.Test.make ~name:"poly1305 split feeds at an offset equal mac" ~count:300
+    QCheck.(triple bytes_arb (int_range 0 40) (pair small_nat small_nat))
+    (fun (msg, pos, (a, b)) ->
+      let n = Bytes.length msg in
+      let buf = Bytes.make (pos + n + 7) '\xEE' in
+      Bytes.blit msg 0 buf pos n;
+      let i = if n = 0 then 0 else a mod (n + 1) in
+      let j = i + (if n - i = 0 then 0 else b mod (n - i + 1)) in
+      let key = Sha256.digest_bytes (Bytes.of_string "poly1305 split key") in
+      let t = Poly1305.init ~key in
+      Poly1305.feed t buf ~pos ~len:i;
+      Poly1305.feed t buf ~pos:(pos + i) ~len:(j - i);
+      Poly1305.feed t buf ~pos:(pos + j) ~len:(n - j);
+      Bytes.equal (Poly1305.finish t) (Poly1305.mac ~key msg))
+
+let prop_chacha20_xor_into_offsets =
+  QCheck.Test.make ~name:"chacha20 xor_into at offsets equals encrypt" ~count:300
+    QCheck.(triple bytes_arb (int_range 0 70) (int_range 0 70))
+    (fun (pt, src_off, dst_off) ->
+      let key = Bytes.make 32 'K' and nonce = Bytes.make 12 'N' in
+      let n = Bytes.length pt in
+      let src = Bytes.make (src_off + n + 3) '\x55' in
+      Bytes.blit pt 0 src src_off n;
+      let dst = Bytes.make (dst_off + n + 5) '\xAA' in
+      Chacha20.xor_into ~counter:7l ~key ~nonce src ~src_off dst ~dst_off ~len:n;
+      Bytes.equal (Bytes.sub dst dst_off n) (Chacha20.encrypt ~counter:7l ~key ~nonce pt)
+      && Bytes.for_all (fun c -> c = '\xAA') (Bytes.sub dst 0 dst_off)
+      && Bytes.for_all (fun c -> c = '\xAA') (Bytes.sub dst (dst_off + n) 5))
+
+let kib_record = Bytes.init 1024 (fun i -> Char.chr (i * 7 land 0xFF))
+let kib_sealed = Aead.seal ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad kib_record
+
+let prop_aead_kib_bit_flip =
+  QCheck.Test.make ~name:"AEAD rejects every bit flip of a 1 KiB record" ~count:500
+    QCheck.(int_range 0 ((8 * (1024 + 16)) - 1))
+    (fun bit ->
+      let sealed = Bytes.copy kib_sealed in
+      let i = bit / 8 in
+      Bytes.set sealed i (Char.chr (Char.code (Bytes.get sealed i) lxor (1 lsl (bit land 7))));
+      Aead.open_ ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad sealed = None)
 
 let prop_sha256_streaming_chunking_invariant =
   QCheck.Test.make ~name:"sha256 independent of chunk boundaries" ~count:100
@@ -275,4 +382,9 @@ let suite =
     Helpers.qtest prop_aead_tamper_detected;
     Helpers.qtest prop_sha256_streaming_chunking_invariant;
     Helpers.qtest prop_hmac_key_sensitivity;
+    Alcotest.test_case "poly1305: RFC 8439 A.3 edge vectors" `Quick test_poly1305_edge_vectors;
+    Alcotest.test_case "aead: golden sweep digest" `Quick test_aead_golden_sweep;
+    Helpers.qtest prop_aead_kib_bit_flip;
+    Helpers.qtest prop_poly1305_split_feeds;
+    Helpers.qtest prop_chacha20_xor_into_offsets;
   ]

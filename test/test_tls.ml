@@ -255,7 +255,7 @@ let prop_splitter_never_crashes =
         (fun chunk ->
           match Wire.feed sp (Bytes.of_string chunk) with
           | Wire.Records rs ->
-              List.for_all (fun r -> Bytes.length r.Wire.body <= Wire.max_body) rs
+              List.for_all (fun r -> Bytes.length (Wire.body r) <= Wire.max_body) rs
           | Wire.Malformed _ -> true)
         chunks)
 
