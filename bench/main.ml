@@ -135,6 +135,39 @@ let test_aead_seal_open () =
          let sealed = Cio_crypto.Aead.seal ~key ~nonce ~aad:Bytes.empty data in
          ignore (Cio_crypto.Aead.open_ ~key ~nonce ~aad:Bytes.empty sealed)))
 
+(* One run = one 16 KiB Tcp.send over an established connection between
+   two stacks on loopback netifs, polled until the peer has read it all:
+   segmentation, frame build and parse, reassembly and the copy out. *)
+let test_tcp_transfer () =
+  let open Cio_tcpip in
+  let mac_a = Cio_frame.Addr.mac_of_octets 2 0 0 0 0 1 and mac_b = Cio_frame.Addr.mac_of_octets 2 0 0 0 0 2 in
+  let ip_a = Cio_frame.Addr.ipv4_of_octets 10 0 0 1 and ip_b = Cio_frame.Addr.ipv4_of_octets 10 0 0 2 in
+  let nif_a, nif_b = Netif.loopback_pair ~mac_a ~mac_b ~mtu:1500 in
+  let clock = ref 0L in
+  let now () = !clock in
+  let rng = Cio_util.Rng.create 5L in
+  let a = Stack.create ~netif:nif_a ~ip:ip_a ~neighbors:[ (ip_b, mac_b) ] ~now ~rng:(Cio_util.Rng.split rng) () in
+  let b = Stack.create ~netif:nif_b ~ip:ip_b ~neighbors:[ (ip_a, mac_a) ] ~now ~rng:(Cio_util.Rng.split rng) () in
+  let step () =
+    Stack.poll a;
+    Stack.poll b;
+    clock := Int64.add !clock 1_000_000L
+  in
+  let listener = Tcp.listen (Stack.tcp b) ~port:80 () in
+  let client = Tcp.connect (Stack.tcp a) ~dst:ip_b ~dst_port:80 () in
+  let rec accept () = match Tcp.accept listener with Some s -> s | None -> step (); accept () in
+  let server = accept () in
+  let data = Bytes.make 16384 't' in
+  Test.make ~name:"tcp-transfer-16KiB"
+    (Staged.stage (fun () ->
+         ignore (Tcp.send (Stack.tcp a) client data);
+         Tcp.flush (Stack.tcp a) client;
+         let got = ref 0 in
+         while !got < 16384 do
+           step ();
+           got := !got + Bytes.length (Tcp.recv (Stack.tcp b) server ~max:65536)
+         done))
+
 let test_packed ~hardened name =
   let tr = Cio_virtio.Packed.create_transport ~name:("bench-" ^ name) () in
   let dev = Cio_virtio.Packed.create_device ~transport:tr ~transmit:(fun _ -> ()) in
@@ -197,8 +230,9 @@ let test_dda () =
         (Staged.stage (fun () -> ignore (Cio_dda.Dda.transfer t payload)))
 
 let micro_tests ?(smoke = false) () =
-  (* The cionet subset and the record cipher are the perf trajectory CI
-     tracks against BENCH_baseline.json; --smoke runs only these. *)
+  (* The cionet subset, the record cipher and the TCP byte path are the
+     perf trajectory CI tracks against BENCH_baseline.json; --smoke runs
+     only these. *)
   let tracked =
     [
       test_ring_roundtrip (Cio_cionet.Config.Inline { data_capacity = 4096 }) "inline";
@@ -216,6 +250,7 @@ let micro_tests ?(smoke = false) () =
       test_ring_burst (Cio_cionet.Config.Inline { data_capacity = 4096 }) "inline" ~depth:64;
       test_overload_admission ();
       test_aead_seal_open ();
+      test_tcp_transfer ();
     ]
   in
   let full =

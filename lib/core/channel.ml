@@ -32,7 +32,7 @@ type t = {
   meter : Cost.meter;
   model : Cost.model;
   outbox : Buffer.t;     (* sealed wire bytes awaiting TCP *)
-  mutable raw_in : bytes list;  (* harvested stream bytes, oldest first *)
+  raw_in : bytes Queue.t;  (* harvested stream bytes, oldest first *)
   inbox : bytes Queue.t;
   mutable failed : Session.error option;
   mutable sent_messages : int;
@@ -52,7 +52,7 @@ let create ?(zero_copy_send = false) ?(copy_on_recv = false) ?(enter_io = fun f 
     meter;
     model;
     outbox = Buffer.create 4096;
-    raw_in = [];
+    raw_in = Queue.create ();
     inbox = Queue.create ();
     failed = None;
     sent_messages = 0;
@@ -82,12 +82,12 @@ let io_pump t =
   (* Flush as much of the outbox as TCP will take. *)
   let pending = Buffer.length t.outbox in
   if pending > 0 then begin
-    let data = Buffer.to_bytes t.outbox in
-    let accepted = Tcp.send (Stack.tcp t.stack) t.conn data in
+    let accepted = Tcp.send_buffer (Stack.tcp t.stack) t.conn t.outbox in
     if accepted > 0 then begin
       moved := true;
+      let rest = if accepted < pending then Buffer.sub t.outbox accepted (pending - accepted) else "" in
       Buffer.clear t.outbox;
-      if accepted < pending then Buffer.add_subbytes t.outbox data accepted (pending - accepted);
+      Buffer.add_string t.outbox rest;
       Tcp.flush (Stack.tcp t.stack) t.conn
     end
   end;
@@ -95,15 +95,13 @@ let io_pump t =
   let b = Tcp.recv (Stack.tcp t.stack) t.conn ~max:65536 in
   if Bytes.length b > 0 then begin
     moved := true;
-    t.raw_in <- t.raw_in @ [ b ]
+    Queue.add b t.raw_in
   end;
   !moved
 
 (* App-side half: move harvested bytes through the record layer. *)
 let app_pump t =
-  let chunks = t.raw_in in
-  t.raw_in <- [];
-  List.iter
+  Queue.iter
     (fun b ->
       if t.copy_on_recv then
         (* Copy out of the I/O domain's reach before parsing. *)
@@ -118,7 +116,8 @@ let app_pump t =
           result.Session.app_data;
         match result.Session.err with Some e -> fail t e | None -> ()
       end)
-    chunks
+    t.raw_in;
+  Queue.clear t.raw_in
 
 (* Standalone pump for single-boundary users. *)
 let pump t =

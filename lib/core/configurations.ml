@@ -336,11 +336,11 @@ let make_syscall env =
   let flush_outbox () =
     let pending = Buffer.length outbox in
     if pending > 0 then begin
-      let data = Buffer.to_bytes outbox in
-      let accepted = Tcp.send (Stack.tcp stack) conn data in
+      let accepted = Tcp.send_buffer (Stack.tcp stack) conn outbox in
       if accepted > 0 then begin
+        let rest = if accepted < pending then Buffer.sub outbox accepted (pending - accepted) else "" in
         Buffer.clear outbox;
-        if accepted < pending then Buffer.add_subbytes outbox data accepted (pending - accepted);
+        Buffer.add_string outbox rest;
         Tcp.flush (Stack.tcp stack) conn
       end
     end

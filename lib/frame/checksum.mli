@@ -13,5 +13,6 @@ val compute : bytes -> pos:int -> len:int -> int
 val verify : bytes -> pos:int -> len:int -> bool
 (** True iff the range (including its checksum field) sums to 0xFFFF. *)
 
-val pseudo_header : src:int32 -> dst:int32 -> proto:int -> length:int -> bytes
-(** 12-byte IPv4 pseudo-header for UDP/TCP checksums. *)
+val pseudo_sum : src:int32 -> dst:int32 -> proto:int -> length:int -> int
+(** Unfolded sum of the 12-byte IPv4 pseudo-header for UDP/TCP checksums,
+    computed from the fields; pass it as [init]. *)

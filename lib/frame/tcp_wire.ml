@@ -37,93 +37,82 @@ let flag_bits f =
   lor (if f.psh then 0x08 else 0)
   lor (if f.ack then 0x10 else 0)
 
-let build ~src_ip ~dst_ip t =
-  let opts =
-    match t.mss with
-    | None -> Bytes.empty
-    | Some mss ->
-        let o = Bytes.create 4 in
-        Bytes.set o 0 '\x02';
-        Bytes.set o 1 '\x04';
-        Bytes.set_uint16_be o 2 mss;
-        o
-  in
-  let header_len = base_header_len + Bytes.length opts in
-  let total = header_len + Bytes.length t.payload in
+(* Frames carry the segment after the Ethernet and IPv4 headers. *)
+let headroom = Ethernet.header_len + Ipv4.header_len
+let min_frame = Ethernet.header_len + Ethernet.min_payload
+
+let header_bytes t = if t.mss = None then base_header_len else base_header_len + 4
+
+(* The one segment writer: header and [data.[off .. off+len)] go straight
+   to [headroom] of a zeroed frame buffer (at least 60 B), in front of
+   which the stack writes the IPv4 and Ethernet headers in place. *)
+let build_frame ~src_ip ~dst_ip t ~data ~off ~len =
+  let header_len = header_bytes t in
+  let total = header_len + len in
   if total > 0xFFFF then invalid_arg "Tcp_wire.build: segment too large";
-  let b = Bytes.make total '\000' in
-  Bytes.set_uint16_be b 0 t.src_port;
-  Bytes.set_uint16_be b 2 t.dst_port;
-  Bytes.set_int32_be b 4 t.seq;
-  Bytes.set_int32_be b 8 t.ack;
-  Bytes.set b 12 (Char.chr ((header_len / 4) lsl 4));
-  Bytes.set b 13 (Char.chr (flag_bits t.flags));
-  Bytes.set_uint16_be b 14 t.window;
-  Bytes.blit opts 0 b base_header_len (Bytes.length opts);
-  Bytes.blit t.payload 0 b header_len (Bytes.length t.payload);
-  let pseudo = Checksum.pseudo_header ~src:src_ip ~dst:dst_ip ~proto:6 ~length:total in
-  let init = Checksum.ones_complement_sum pseudo ~pos:0 ~len:12 ~init:0 in
-  let csum = Checksum.finish (Checksum.ones_complement_sum b ~pos:0 ~len:total ~init) in
-  Bytes.set_uint16_be b 16 csum;
+  let b = Bytes.make (max min_frame (headroom + total)) '\000' in
+  let s = headroom in
+  Bytes.set_uint16_be b s t.src_port;
+  Bytes.set_uint16_be b (s + 2) t.dst_port;
+  Bytes.set_int32_be b (s + 4) t.seq;
+  Bytes.set_int32_be b (s + 8) t.ack;
+  Bytes.set b (s + 12) (Char.chr ((header_len / 4) lsl 4));
+  Bytes.set b (s + 13) (Char.chr (flag_bits t.flags));
+  Bytes.set_uint16_be b (s + 14) t.window;
+  Option.iter (fun mss -> Bytes.set_int32_be b (s + 20) (Int32.of_int (0x02040000 lor (mss land 0xFFFF)))) t.mss;
+  Bytes.blit data off b (s + header_len) len;
+  let init = Checksum.pseudo_sum ~src:src_ip ~dst:dst_ip ~proto:6 ~length:total in
+  Bytes.set_uint16_be b (s + 16) (Checksum.finish (Checksum.ones_complement_sum b ~pos:s ~len:total ~init));
   b
 
-let parse_mss b ~pos ~len =
-  (* Walk the options area looking for MSS; tolerate unknown options. *)
-  let stop = pos + len in
-  let rec go i =
-    if i >= stop then None
-    else begin
-      match Char.code (Bytes.get b i) with
-      | 0 -> None  (* end of options *)
-      | 1 -> go (i + 1)  (* NOP *)
-      | 2 when i + 3 < stop && Char.code (Bytes.get b (i + 1)) = 4 ->
-          Some (Bytes.get_uint16_be b (i + 2))
-      | _ ->
-          if i + 1 >= stop then None
-          else begin
-            let olen = Char.code (Bytes.get b (i + 1)) in
-            if olen < 2 then None else go (i + olen)
-          end
-    end
-  in
-  go pos
+let build ~src_ip ~dst_ip t =
+  let len = Bytes.length t.payload in
+  Bytes.sub (build_frame ~src_ip ~dst_ip t ~data:t.payload ~off:0 ~len) headroom (header_bytes t + len)
 
-let parse ~src_ip ~dst_ip b =
-  let len = Bytes.length b in
+(* Walk the options in [b.[i .. stop)] looking for MSS; tolerate unknown
+   options. *)
+let rec parse_mss b i stop =
+  if i >= stop then None
+  else
+    match Char.code (Bytes.get b i) with
+    | 0 -> None  (* end of options *)
+    | 1 -> parse_mss b (i + 1) stop  (* NOP *)
+    | 2 when i + 3 < stop && Char.code (Bytes.get b (i + 1)) = 4 -> Some (Bytes.get_uint16_be b (i + 2))
+    | _ when i + 1 >= stop -> None
+    | _ ->
+        let olen = Char.code (Bytes.get b (i + 1)) in
+        if olen < 2 then None else parse_mss b (i + olen) stop
+
+(* Parse the segment in [b.[off .. off+len)]; only the payload is copied. *)
+let parse_at ~src_ip ~dst_ip b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Tcp_wire.parse_at";
   if len < base_header_len then Error "tcp: truncated header"
   else begin
-    let data_off = (Char.code (Bytes.get b 12) lsr 4) * 4 in
+    let data_off = (Char.code (Bytes.get b (off + 12)) lsr 4) * 4 in
     if data_off < base_header_len || data_off > len then Error "tcp: bad data offset"
     else begin
-      let pseudo = Checksum.pseudo_header ~src:src_ip ~dst:dst_ip ~proto:6 ~length:len in
-      let init = Checksum.ones_complement_sum pseudo ~pos:0 ~len:12 ~init:0 in
-      if Checksum.ones_complement_sum b ~pos:0 ~len ~init <> 0xFFFF then
+      let init = Checksum.pseudo_sum ~src:src_ip ~dst:dst_ip ~proto:6 ~length:len in
+      if Checksum.ones_complement_sum b ~pos:off ~len ~init <> 0xFFFF then
         Error "tcp: checksum mismatch"
       else begin
-        let bits = Char.code (Bytes.get b 13) in
-        let flags =
-          {
-            fin = bits land 0x01 <> 0;
-            syn = bits land 0x02 <> 0;
-            rst = bits land 0x04 <> 0;
-            psh = bits land 0x08 <> 0;
-            ack = bits land 0x10 <> 0;
-          }
-        in
+        let bit m = Char.code (Bytes.get b (off + 13)) land m <> 0 in
+        let flags = { fin = bit 0x01; syn = bit 0x02; rst = bit 0x04; psh = bit 0x08; ack = bit 0x10 } in
         Ok
           {
-            src_port = Bytes.get_uint16_be b 0;
-            dst_port = Bytes.get_uint16_be b 2;
-            seq = Bytes.get_int32_be b 4;
-            ack = Bytes.get_int32_be b 8;
+            src_port = Bytes.get_uint16_be b off;
+            dst_port = Bytes.get_uint16_be b (off + 2);
+            seq = Bytes.get_int32_be b (off + 4);
+            ack = Bytes.get_int32_be b (off + 8);
             flags;
-            window = Bytes.get_uint16_be b 14;
-            mss = parse_mss b ~pos:base_header_len ~len:(data_off - base_header_len);
-            payload = Bytes.sub b data_off (len - data_off);
+            window = Bytes.get_uint16_be b (off + 14);
+            mss = parse_mss b (off + base_header_len) (off + data_off);
+            payload = Bytes.sub b (off + data_off) (len - data_off);
           }
       end
     end
   end
+
+let parse ~src_ip ~dst_ip b = parse_at ~src_ip ~dst_ip b ~off:0 ~len:(Bytes.length b)
 
 let pp ppf t =
   Fmt.pf ppf "tcp %d -> %d [%a] seq=%lu ack=%lu win=%d (%d B)" t.src_port t.dst_port

@@ -12,8 +12,7 @@ let build ~src_ip ~dst_ip { src_port; dst_port; payload } =
   Bytes.set_uint16_be b 2 dst_port;
   Bytes.set_uint16_be b 4 total;
   Bytes.blit payload 0 b header_len (Bytes.length payload);
-  let pseudo = Checksum.pseudo_header ~src:src_ip ~dst:dst_ip ~proto:17 ~length:total in
-  let init = Checksum.ones_complement_sum pseudo ~pos:0 ~len:12 ~init:0 in
+  let init = Checksum.pseudo_sum ~src:src_ip ~dst:dst_ip ~proto:17 ~length:total in
   let csum = Checksum.finish (Checksum.ones_complement_sum b ~pos:0 ~len:total ~init) in
   (* All-zero checksums are transmitted as 0xFFFF per the RFC. *)
   Bytes.set_uint16_be b 6 (if csum = 0 then 0xFFFF else csum);
@@ -26,16 +25,10 @@ let parse ~src_ip ~dst_ip b =
     let total = Bytes.get_uint16_be b 4 in
     if total < header_len || total > len then Error "udp: bad length"
     else begin
-      let declared_csum = Bytes.get_uint16_be b 6 in
-      let ok =
-        if declared_csum = 0 then true  (* checksum disabled by sender *)
-        else begin
-          let pseudo = Checksum.pseudo_header ~src:src_ip ~dst:dst_ip ~proto:17 ~length:total in
-          let init = Checksum.ones_complement_sum pseudo ~pos:0 ~len:12 ~init:0 in
-          Checksum.ones_complement_sum b ~pos:0 ~len:total ~init = 0xFFFF
-        end
-      in
-      if not ok then Error "udp: checksum mismatch"
+      let init = Checksum.pseudo_sum ~src:src_ip ~dst:dst_ip ~proto:17 ~length:total in
+      (* A zero checksum field means the sender disabled it. *)
+      if Bytes.get_uint16_be b 6 <> 0 && Checksum.ones_complement_sum b ~pos:0 ~len:total ~init <> 0xFFFF
+      then Error "udp: checksum mismatch"
       else
         Ok
           {

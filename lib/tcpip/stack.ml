@@ -52,11 +52,6 @@ type t = {
   recycle : (bytes -> unit) option;
 }
 
-let mac_for t dst =
-  match List.assoc_opt dst t.neighbors with
-  | Some mac -> Some mac
-  | None -> None
-
 (* Emit one built frame: queue for the next burst flush when coalescing,
    transmit immediately otherwise. Counters and charges are identical
    either way. With [tx_queue_limit] set, a full queue sheds the frame
@@ -64,21 +59,15 @@ let mac_for t dst =
    stack, and dropping at the source beats queueing without bound
    (TCP retransmits what mattered; the rest was load). *)
 let emit t frame =
-  match t.tx_burst with
-  | Some _ -> (
-      match t.tx_queue_limit with
-      | Some lim when Queue.length t.txq >= lim ->
-          t.counters.dropped <- t.counters.dropped + 1;
-          t.counters.last_drop_reason <- "tx backpressure: queue full";
-          Cio_overload.Pressure.note_queue_full ()
-      | _ ->
-          t.counters.frames_out <- t.counters.frames_out + 1;
-          Cost.charge t.meter Cost.Stack 150;
-          Queue.add frame t.txq)
-  | None ->
+  match (t.tx_burst, t.tx_queue_limit) with
+  | Some _, Some lim when Queue.length t.txq >= lim ->
+      t.counters.dropped <- t.counters.dropped + 1;
+      t.counters.last_drop_reason <- "tx backpressure: queue full";
+      Cio_overload.Pressure.note_queue_full ()
+  | burst, _ ->
       t.counters.frames_out <- t.counters.frames_out + 1;
       Cost.charge t.meter Cost.Stack 150;
-      t.netif.Netif.transmit frame
+      if Option.is_none burst then t.netif.Netif.transmit frame else Queue.add frame t.txq
 
 (* Flush pending TX as bursts. A partial burst means the ring is full:
    requeue the tail and stop — the next poll retries. *)
@@ -104,6 +93,20 @@ let flush_tx t =
       in
       go ()
 
+(* Finish a frame whose [len]-byte transport payload already sits at
+   [Tcp_wire.headroom]: the IPv4 and Ethernet headers go in front of it
+   in place, so every frame is one buffer written once. *)
+let send_frame t proto ~dst frame len =
+  match List.assoc_opt dst t.neighbors with
+  | None ->
+      t.counters.dropped <- t.counters.dropped + 1;
+      t.counters.last_drop_reason <- "no neighbour entry"
+  | Some dst_mac ->
+      Ipv4.write_header frame ~off:Ethernet.header_len ~src:t.ip ~dst ~protocol:proto ~ttl:t.ttl
+        ~payload_len:len;
+      Ethernet.write_header frame ~dst:dst_mac ~src:t.netif.Netif.mac ~ethertype:Ethernet.Ipv4;
+      emit t frame
+
 let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_queue_limit
     ?retry_budget ~netif ~ip ~neighbors ~now ~rng () =
   let meter = match meter with Some m -> m | None -> Cost.meter () in
@@ -116,7 +119,7 @@ let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_que
         neighbors;
         tcp =
           Tcp.create ~model ~meter ?retry_budget ~local_ip:ip
-            ~send_segment:(fun ~dst payload -> send_proto (Lazy.force t) Ipv4.Tcp ~dst payload)
+            ~send_segment:(fun ~dst frame len -> send_frame (Lazy.force t) Ipv4.Tcp ~dst frame len)
             ~now ~rng ();
         udp_socks = [];
         meter;
@@ -128,18 +131,6 @@ let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_que
         tx_queue_limit;
         recycle;
       }
-  and send_proto t proto ~dst payload =
-    match mac_for t dst with
-    | None ->
-        t.counters.dropped <- t.counters.dropped + 1;
-        t.counters.last_drop_reason <- "no neighbour entry"
-    | Some dst_mac ->
-        let ip_packet = Ipv4.build { Ipv4.src = t.ip; dst; protocol = proto; ttl = t.ttl; payload } in
-        let frame =
-          Ethernet.build
-            { Ethernet.dst = dst_mac; src = t.netif.Netif.mac; ethertype = Ethernet.Ipv4; payload = ip_packet }
-        in
-        emit t frame
   in
   Lazy.force t
 
@@ -156,18 +147,11 @@ let tx_pressure t =
       Cio_overload.Pressure.level_of_occupancy ~used:(Queue.length t.txq) ~capacity:lim
 
 let send_udp t ~src_port ~dst ~dst_port payload =
-  match mac_for t dst with
-  | None ->
-      t.counters.dropped <- t.counters.dropped + 1;
-      t.counters.last_drop_reason <- "no neighbour entry"
-  | Some dst_mac ->
-      let udp = Udp.build ~src_ip:t.ip ~dst_ip:dst { Udp.src_port; dst_port; payload } in
-      let ip_packet = Ipv4.build { Ipv4.src = t.ip; dst; protocol = Ipv4.Udp; ttl = t.ttl; payload = udp } in
-      let frame =
-        Ethernet.build
-          { Ethernet.dst = dst_mac; src = t.netif.Netif.mac; ethertype = Ethernet.Ipv4; payload = ip_packet }
-      in
-      emit t frame
+  let udp = Udp.build ~src_ip:t.ip ~dst_ip:dst { Udp.src_port; dst_port; payload } in
+  let len = Bytes.length udp in
+  let frame = Bytes.make (max Tcp_wire.min_frame (Tcp_wire.headroom + len)) '\000' in
+  Bytes.blit udp 0 frame Tcp_wire.headroom len;
+  send_frame t Ipv4.Udp ~dst frame len
 
 let udp_bind t ~port =
   if List.exists (fun s -> s.uport = port) t.udp_socks then
@@ -184,10 +168,11 @@ let drop t reason =
   t.counters.last_drop_reason <- reason;
   Log.debug (fun m -> m "drop: %s" reason)
 
+(* Headers are read in place; only a TCP payload is copied out. *)
 let handle_frame t frame =
   t.counters.frames_in <- t.counters.frames_in + 1;
   Cost.charge t.meter Cost.Stack 150;
-  match Ethernet.parse frame with
+  match Ethernet.parse_header frame with
   | Error e -> drop t e
   | Ok eth ->
       if eth.Ethernet.dst <> t.netif.Netif.mac && eth.Ethernet.dst <> Addr.mac_broadcast then
@@ -196,26 +181,27 @@ let handle_frame t frame =
         match eth.Ethernet.ethertype with
         | Ethernet.Arp | Ethernet.Unknown _ -> drop t "ethernet: unhandled ethertype"
         | Ethernet.Ipv4 -> (
-            match Ipv4.parse eth.Ethernet.payload with
+            match Ipv4.parse_at frame ~off:Ethernet.header_len ~len:(Bytes.length frame - Ethernet.header_len) with
             | Error e -> drop t e
             | Ok ip ->
-                if ip.Ipv4.dst <> t.ip then drop t "ipv4: not our address"
+                let src_ip = ip.Ipv4.src and dst_ip = ip.Ipv4.dst in
+                let off = ip.Ipv4.payload_off and len = ip.Ipv4.payload_len in
+                if dst_ip <> t.ip then drop t "ipv4: not our address"
                 else begin
                   match ip.Ipv4.protocol with
                   | Ipv4.Tcp -> (
-                      match Tcp_wire.parse ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst ip.Ipv4.payload with
+                      match Tcp_wire.parse_at ~src_ip ~dst_ip frame ~off ~len with
                       | Error e -> drop t e
-                      | Ok seg -> Tcp.input t.tcp ~src:ip.Ipv4.src seg)
+                      | Ok seg -> Tcp.input t.tcp ~src:src_ip seg)
                   | Ipv4.Udp -> (
-                      match Udp.parse ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst ip.Ipv4.payload with
+                      match Udp.parse ~src_ip ~dst_ip (Bytes.sub frame off len) with
                       | Error e -> drop t e
                       | Ok dgram -> (
                           match List.find_opt (fun s -> s.uport = dgram.Udp.dst_port) t.udp_socks with
                           | None -> drop t "udp: no socket bound"
-                          | Some s ->
-                              if Queue.length s.rxq < 1024 then
-                                Queue.add (ip.Ipv4.src, dgram.Udp.src_port, dgram.Udp.payload) s.rxq
-                              else drop t "udp: socket queue full"))
+                          | Some s when Queue.length s.rxq < 1024 ->
+                              Queue.add (src_ip, dgram.Udp.src_port, dgram.Udp.payload) s.rxq
+                          | Some _ -> drop t "udp: socket queue full"))
                   | Ipv4.Unknown _ -> drop t "ipv4: unhandled protocol"
                 end)
       end

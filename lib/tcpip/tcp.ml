@@ -19,10 +19,6 @@
 open Cio_util
 open Cio_frame
 
-let src = Logs.Src.create "cio.tcp" ~doc:"TCP state machine"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type state =
   | Listen
   | Syn_sent
@@ -49,19 +45,19 @@ let state_name = function
   | Time_wait -> "TIME-WAIT"
   | Closed -> "CLOSED"
 
+(* A sent segment awaiting its ACK. Its payload is not copied: it stays
+   in the connection's send store until acknowledged. *)
 type retx_entry = {
   rseq : int32;
-  rpayload : bytes;
+  rlen : int;
   rsyn : bool;
   rfin : bool;
-  mutable sent_at : int64;
   mutable retries : int;
 }
 
-let retx_len e = Bytes.length e.rpayload + (if e.rsyn then 1 else 0) + if e.rfin then 1 else 0
+let retx_end e = Tcp_wire.seq_add e.rseq (e.rlen + (if e.rsyn then 1 else 0) + if e.rfin then 1 else 0)
 
 type conn = {
-  id : int;
   local_port : int;
   remote_ip : Addr.ipv4;
   remote_port : int;
@@ -70,8 +66,15 @@ type conn = {
   mutable snd_una : int32;
   mutable snd_nxt : int32;
   mutable snd_wnd : int;
-  mutable snd_queue : Buffer.t;  (* app data not yet segmented *)
-  mutable retx : retx_entry list; (* oldest first *)
+  (* Send store: [sq.[sq_head .. sq_tail)] is the stream from sequence
+     [sq_seq], the first byte a retransmission may still need; bytes
+     from [sq_next] on are not segmented yet. *)
+  mutable sq : bytes;
+  mutable sq_head : int;
+  mutable sq_next : int;
+  mutable sq_tail : int;
+  mutable sq_seq : int32;
+  retx : retx_entry Queue.t; (* oldest first *)
   mutable dup_acks : int;
   mutable fin_pending : bool;
   mutable fin_seq : int32 option;
@@ -92,11 +95,11 @@ type conn = {
   mutable error : string option;
 }
 
-type listener = { lport : int; backlog : int; mutable accept_queue : conn list }
+type listener = { lport : int; backlog : int; accept_queue : conn Queue.t }
 
 type t = {
   local_ip : Addr.ipv4;
-  send_segment : dst:Addr.ipv4 -> bytes -> unit;
+  send_segment : dst:Addr.ipv4 -> bytes -> int -> unit;
   now : unit -> int64;
   rng : Rng.t;
   meter : Cost.meter;
@@ -110,7 +113,6 @@ type t = {
   retry_budget : Cio_overload.Retry_budget.t option;
   mutable conns : conn list;
   mutable listeners : listener list;
-  mutable next_id : int;
   mutable next_ephemeral : int;
   mutable segments_in : int;
   mutable segments_out : int;
@@ -146,7 +148,6 @@ let create ?(default_mss = 1460) ?(base_rto_ns = 200_000_000L) ?(max_retries = 8
     retry_budget;
     conns = [];
     listeners = [];
-    next_id = 0;
     (* Randomised ephemeral-port start (deterministic per rng seed): a
        restarted stack must not march through the same port sequence as
        its dead predecessor, or its first SYN collides with the peer's
@@ -164,7 +165,6 @@ let retransmits t = t.retransmits
 
 let conn_state c = c.state
 let conn_error c = c.error
-let conn_id c = c.id
 let conn_remote c = (c.remote_ip, c.remote_port)
 
 (* Every segment processed charges stack work: the cycles that live inside
@@ -173,7 +173,17 @@ let conn_remote c = (c.remote_ip, c.remote_port)
 let charge_stack t nbytes =
   Cost.charge t.meter Cost.Stack (300 + Cost.copy_cost t.model nbytes)
 
-let emit t conn ?(payload = Bytes.empty) ?(syn = false) ?(fin = false) ?(rst = false)
+(* Count, charge and send one segment; its payload [data.[at .. at+len)]
+   is written straight into the frame. *)
+let transmit t ~dst seg ~data ~at ~len =
+  t.segments_out <- t.segments_out + 1;
+  Cio_telemetry.Metrics.inc m_segments_out;
+  charge_stack t len;
+  let frame = Tcp_wire.build_frame ~src_ip:t.local_ip ~dst_ip:dst seg ~data ~off:at ~len in
+  t.send_segment ~dst frame (Tcp_wire.header_bytes seg + len)
+
+(* A segment on [conn] carrying [len] bytes of its send store from [at]. *)
+let emit t conn ?(at = 0) ?(len = 0) ?(syn = false) ?(fin = false) ?(rst = false)
     ?(ack = true) ~seq () =
   let seg =
     {
@@ -181,17 +191,14 @@ let emit t conn ?(payload = Bytes.empty) ?(syn = false) ?(fin = false) ?(rst = f
       dst_port = conn.remote_port;
       seq;
       ack = (if ack then conn.rcv_nxt else 0l);
-      flags = { Tcp_wire.syn; fin; rst; ack; psh = Bytes.length payload > 0 };
+      flags = { Tcp_wire.syn; fin; rst; ack; psh = len > 0 };
       window = max 0 (conn.rcv_capacity - Buffer.length conn.recv_buf);
       mss = (if syn then Some t.default_mss else None);
-      payload;
+      payload = Bytes.empty;
     }
   in
-  t.segments_out <- t.segments_out + 1;
-  Cio_telemetry.Metrics.inc m_segments_out;
-  Cio_telemetry.Metrics.observe m_segment_bytes (Bytes.length payload);
-  charge_stack t (Bytes.length payload);
-  t.send_segment ~dst:conn.remote_ip (Tcp_wire.build ~src_ip:t.local_ip ~dst_ip:conn.remote_ip seg)
+  Cio_telemetry.Metrics.observe m_segment_bytes len;
+  transmit t ~dst:conn.remote_ip seg ~data:conn.sq ~at ~len
 
 let send_rst t ~dst ~(to_seg : Tcp_wire.t) =
   (* RFC 9293 §3.10.7.1 reset generation for segments with no connection. *)
@@ -218,21 +225,15 @@ let send_rst t ~dst ~(to_seg : Tcp_wire.t) =
         payload = Bytes.empty;
       }
     in
-    t.segments_out <- t.segments_out + 1;
-    Cio_telemetry.Metrics.inc m_segments_out;
-    charge_stack t 0;
-    t.send_segment ~dst (Tcp_wire.build ~src_ip:t.local_ip ~dst_ip:dst seg)
+    transmit t ~dst seg ~data:Bytes.empty ~at:0 ~len:0
   end
 
 let isn t = Rng.next_int64 t.rng |> Int64.to_int32
 
 let fresh_conn t ~local_port ~remote_ip ~remote_port ~state =
-  let id = t.next_id in
-  t.next_id <- t.next_id + 1;
   let iss = isn t in
   let c =
     {
-      id;
       local_port;
       remote_ip;
       remote_port;
@@ -240,8 +241,12 @@ let fresh_conn t ~local_port ~remote_ip ~remote_port ~state =
       snd_una = iss;
       snd_nxt = iss;
       snd_wnd = 0;
-      snd_queue = Buffer.create 4096;
-      retx = [];
+      sq = Bytes.create 4096;
+      sq_head = 0;
+      sq_next = 0;
+      sq_tail = 0;
+      sq_seq = Tcp_wire.seq_add iss 1;
+      retx = Queue.create ();
       dup_acks = 0;
       fin_pending = false;
       fin_seq = None;
@@ -273,9 +278,14 @@ let find_listener t ~port = List.find_opt (fun l -> l.lport = port) t.listeners
 
 let arm_rtx t c = if c.rtx_deadline = None then c.rtx_deadline <- Some (Int64.add (t.now ()) c.rto_ns)
 
-let record_retx t c ~seq ~payload ~syn ~fin =
-  c.retx <- c.retx @ [ { rseq = seq; rpayload = payload; rsyn = syn; rfin = fin; sent_at = t.now (); retries = 0 } ];
+let record_retx t c ~seq ~len ~syn ~fin =
+  Queue.add { rseq = seq; rlen = len; rsyn = syn; rfin = fin; retries = 0 } c.retx;
   arm_rtx t c
+
+(* Re-send a recorded segment from the bytes the send store kept for it. *)
+let resend t c ?ack e =
+  let at = if e.rlen = 0 then 0 else c.sq_head + Tcp_wire.seq_diff e.rseq c.sq_seq in
+  emit t c ~at ~len:e.rlen ~syn:e.rsyn ~fin:e.rfin ?ack ~seq:e.rseq ()
 
 let in_flight c = Tcp_wire.seq_diff c.snd_nxt c.snd_una
 
@@ -286,17 +296,14 @@ let rec output t c =
   | Established | Close_wait ->
       let window = min c.snd_wnd c.cwnd in
       let usable = window - in_flight c in
-      let queued = Buffer.length c.snd_queue in
+      let queued = c.sq_tail - c.sq_next in
       if queued > 0 && usable > 0 then begin
         let len = min (min queued usable) c.mss in
-        let payload = Bytes.sub (Buffer.to_bytes c.snd_queue) 0 len in
-        let rest = Buffer.sub c.snd_queue len (queued - len) in
-        Buffer.clear c.snd_queue;
-        Buffer.add_string c.snd_queue rest;
         let seq = c.snd_nxt in
         c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt len;
-        record_retx t c ~seq ~payload ~syn:false ~fin:false;
-        emit t c ~payload ~seq ();
+        record_retx t c ~seq ~len ~syn:false ~fin:false;
+        emit t c ~at:c.sq_next ~len ~seq ();
+        c.sq_next <- c.sq_next + len;
         output t c
       end
       else if queued = 0 && c.fin_pending && c.fin_seq = None then begin
@@ -304,7 +311,7 @@ let rec output t c =
         let seq = c.snd_nxt in
         c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt 1;
         c.fin_seq <- Some seq;
-        record_retx t c ~seq ~payload:Bytes.empty ~syn:false ~fin:true;
+        record_retx t c ~seq ~len:0 ~syn:false ~fin:true;
         emit t c ~fin:true ~seq ();
         c.state <- (match c.state with Established -> Fin_wait_1 | _ -> Last_ack)
       end
@@ -322,7 +329,7 @@ let connect t ?src_port ~dst ~dst_port () =
   let c = fresh_conn t ~local_port ~remote_ip:dst ~remote_port:dst_port ~state:Syn_sent in
   let seq = c.snd_nxt in
   c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt 1;
-  record_retx t c ~seq ~payload:Bytes.empty ~syn:true ~fin:false;
+  record_retx t c ~seq ~len:0 ~syn:true ~fin:false;
   emit t c ~syn:true ~ack:false ~seq ();
   c
 
@@ -330,28 +337,36 @@ let listen t ~port ?(backlog = 16) () =
   match find_listener t ~port with
   | Some _ -> invalid_arg "Tcp.listen: port already bound"
   | None ->
-      let l = { lport = port; backlog; accept_queue = [] } in
+      let l = { lport = port; backlog; accept_queue = Queue.create () } in
       t.listeners <- l :: t.listeners;
       l
 
-let accept l =
-  match l.accept_queue with
-  | [] -> None
-  | c :: rest ->
-      l.accept_queue <- rest;
-      Some c
+let accept l = Queue.take_opt l.accept_queue
 
-let send _t c data =
+(* Append up to [avail] bytes to the send store, [blit dst off n] writing
+   them. The live bytes move to the front when that frees enough room;
+   otherwise the store doubles until they fit. *)
+let enqueue c avail blit =
   match c.state with
-  | Established | Close_wait ->
-      if c.fin_pending then 0
-      else begin
-        let room = 262144 - Buffer.length c.snd_queue in
-        let n = min room (Bytes.length data) in
-        Buffer.add_subbytes c.snd_queue data 0 n;
-        n
-      end
+  | (Established | Close_wait) when not c.fin_pending ->
+      let n = min (262144 - (c.sq_tail - c.sq_next)) avail in
+      let cap = Bytes.length c.sq and live = c.sq_tail - c.sq_head in
+      if c.sq_tail + n > cap then begin
+        let rec size k = if k >= live + n then k else size (2 * k) in
+        let dst = if 2 * (live + n) <= cap then c.sq else Bytes.create (size (2 * cap)) in
+        Bytes.blit c.sq c.sq_head dst 0 live;
+        c.sq <- dst;
+        c.sq_next <- c.sq_next - c.sq_head;
+        c.sq_tail <- live;
+        c.sq_head <- 0
+      end;
+      blit c.sq c.sq_tail n;
+      c.sq_tail <- c.sq_tail + n;
+      n
   | _ -> 0
+
+let send _t c data = enqueue c (Bytes.length data) (fun dst off n -> Bytes.blit data 0 dst off n)
+let send_buffer _t c buf = enqueue c (Buffer.length buf) (fun dst off n -> Buffer.blit buf 0 dst off n)
 
 let flush t c = output t c
 
@@ -360,8 +375,10 @@ let recv _t c ~max =
   let n = min max avail in
   if n = 0 then Bytes.empty
   else begin
-    let out = Bytes.of_string (Buffer.sub c.recv_buf 0 n) in
-    let rest = Buffer.sub c.recv_buf n (avail - n) in
+    let out = Bytes.create n in
+    Buffer.blit c.recv_buf 0 out 0 n;
+    (* Only a partial read shifts the unread tail. *)
+    let rest = if n < avail then Buffer.sub c.recv_buf n (avail - n) else "" in
     Buffer.clear c.recv_buf;
     Buffer.add_string c.recv_buf rest;
     out
@@ -408,9 +425,8 @@ let rec drain_ooo c =
       c.ooo <- rest;
       let skip = Tcp_wire.seq_diff c.rcv_nxt s in
       if skip < Bytes.length p then begin
-        let fresh = Bytes.sub p skip (Bytes.length p - skip) in
-        Buffer.add_bytes c.recv_buf fresh;
-        c.rcv_nxt <- Tcp_wire.seq_add c.rcv_nxt (Bytes.length fresh)
+        Buffer.add_subbytes c.recv_buf p skip (Bytes.length p - skip);
+        c.rcv_nxt <- Tcp_wire.seq_add c.rcv_nxt (Bytes.length p - skip)
       end;
       drain_ooo c
   | _ -> ()
@@ -433,10 +449,9 @@ let deliver_payload c (seg : Tcp_wire.t) =
       (* Partially old segment: deliver the fresh tail. *)
       let skip = Tcp_wire.seq_diff c.rcv_nxt seg.seq in
       if skip < len then begin
-        let fresh = Bytes.sub seg.payload skip (len - skip) in
         let room = c.rcv_capacity - Buffer.length c.recv_buf in
-        let take = min (Bytes.length fresh) room in
-        Buffer.add_subbytes c.recv_buf fresh 0 take;
+        let take = min (len - skip) room in
+        Buffer.add_subbytes c.recv_buf seg.payload skip take;
         c.rcv_nxt <- Tcp_wire.seq_add c.rcv_nxt take;
         drain_ooo c
       end
@@ -451,13 +466,21 @@ let process_ack t c (seg : Tcp_wire.t) =
     c.snd_una <- ack;
     c.dup_acks <- 0;
     c.snd_wnd <- seg.Tcp_wire.window;
-    (* Keep only segments whose end sequence is still unacknowledged. *)
-    c.retx <- List.filter (fun e -> Tcp_wire.seq_lt ack (Tcp_wire.seq_add e.rseq (retx_len e))) c.retx;
+    (* Drop the segments acknowledged in full (ends increase along the
+       queue, so they are a prefix) and the send-store bytes that only
+       they could resend. *)
+    while (not (Queue.is_empty c.retx)) && not (Tcp_wire.seq_lt ack (retx_end (Queue.peek c.retx))) do
+      ignore (Queue.take c.retx)
+    done;
+    let keep = if Queue.is_empty c.retx then ack else (Queue.peek c.retx).rseq in
+    let k = min (c.sq_next - c.sq_head) (max 0 (Tcp_wire.seq_diff keep c.sq_seq)) in
+    c.sq_head <- c.sq_head + k;
+    c.sq_seq <- Tcp_wire.seq_add c.sq_seq k;
     (* Congestion control: slow start then additive increase. *)
     if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + min acked c.mss
     else c.cwnd <- c.cwnd + max 1 (c.mss * c.mss / c.cwnd);
     c.rto_ns <- t.base_rto_ns;
-    c.rtx_deadline <- (if c.retx = [] then None else Some (Int64.add (t.now ()) c.rto_ns));
+    c.rtx_deadline <- (if Queue.is_empty c.retx then None else Some (Int64.add (t.now ()) c.rto_ns));
     (* Forward progress pays back into the shared retry budget. *)
     (match t.retry_budget with
     | Some rb -> Cio_overload.Retry_budget.on_success rb
@@ -475,7 +498,7 @@ let process_ack t c (seg : Tcp_wire.t) =
     | _ -> ());
     output t c
   end
-  else if ack = c.snd_una && Bytes.length seg.Tcp_wire.payload = 0 && c.retx <> [] then begin
+  else if ack = c.snd_una && Bytes.length seg.Tcp_wire.payload = 0 && not (Queue.is_empty c.retx) then begin
     (* Duplicate ACK. *)
     c.snd_wnd <- seg.Tcp_wire.window;
     c.dup_acks <- c.dup_acks + 1;
@@ -488,16 +511,15 @@ let process_ack t c (seg : Tcp_wire.t) =
         | Some rb -> Cio_overload.Retry_budget.try_retry rb
         | None -> true
       in
-      match c.retx with
-      | e :: _ when budget_ok ->
-          let flight = max (in_flight c) c.mss in
-          c.ssthresh <- max (flight / 2) (2 * c.mss);
-          c.cwnd <- c.ssthresh;
-          e.retries <- e.retries + 1;
-          e.sent_at <- t.now ();
-          note_retransmit t;
-          emit t c ~payload:e.rpayload ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
-      | _ -> ()
+      if budget_ok then begin
+        let e = Queue.peek c.retx in
+        let flight = max (in_flight c) c.mss in
+        c.ssthresh <- max (flight / 2) (2 * c.mss);
+        c.cwnd <- c.ssthresh;
+        e.retries <- e.retries + 1;
+        note_retransmit t;
+        resend t c e
+      end
     end
   end
   else if ack = c.snd_una then c.snd_wnd <- seg.Tcp_wire.window
@@ -516,7 +538,7 @@ let handle_synsent t c (seg : Tcp_wire.t) =
       c.snd_wnd <- seg.Tcp_wire.window;
       (match seg.Tcp_wire.mss with Some m -> c.mss <- min m t.default_mss | None -> ());
       c.cwnd <- 2 * c.mss;
-      c.retx <- [];
+      Queue.clear c.retx;
       c.rtx_deadline <- None;
       c.state <- Established;
       emit t c ~seq:c.snd_nxt ();  (* ACK completing the handshake *)
@@ -592,21 +614,18 @@ let handle_synreceived t c l (seg : Tcp_wire.t) =
   else if seg.Tcp_wire.flags.Tcp_wire.ack && seg.Tcp_wire.ack = c.snd_nxt then begin
     c.snd_una <- seg.Tcp_wire.ack;
     c.snd_wnd <- seg.Tcp_wire.window;
-    c.retx <- [];
+    Queue.clear c.retx;
     c.rtx_deadline <- None;
     c.state <- Established;
     (match l with
-    | Some l when List.length l.accept_queue < l.backlog ->
-        l.accept_queue <- l.accept_queue @ [ c ]
+    | Some l when Queue.length l.accept_queue < l.backlog -> Queue.add c l.accept_queue
     | _ -> ());
     (* The completing ACK may already carry data. *)
     if Bytes.length seg.Tcp_wire.payload > 0 then handle_established t c seg
   end
   else if seg.Tcp_wire.flags.Tcp_wire.syn && Bytes.length seg.Tcp_wire.payload = 0 then
     (* Retransmitted SYN: resend SYN-ACK. *)
-    match c.retx with
-    | e :: _ -> emit t c ~payload:e.rpayload ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
-    | [] -> ()
+    Option.iter (resend t c) (Queue.peek_opt c.retx)
 
 let input t ~src (seg : Tcp_wire.t) =
   t.segments_in <- t.segments_in + 1;
@@ -638,7 +657,7 @@ let input t ~src (seg : Tcp_wire.t) =
           c.snd_wnd <- seg.Tcp_wire.window;
           let seq = c.snd_nxt in
           c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt 1;
-          record_retx t c ~seq ~payload:Bytes.empty ~syn:true ~fin:false;
+          record_retx t c ~seq ~len:0 ~syn:true ~fin:false;
           emit t c ~syn:true ~seq ()
       | _ -> send_rst t ~dst:src ~to_seg:seg)
 
@@ -651,9 +670,9 @@ let tick t =
       | _ -> ());
       match c.rtx_deadline with
       | Some d when d <= now -> (
-          match c.retx with
-          | [] -> c.rtx_deadline <- None
-          | e :: _ ->
+          match Queue.peek_opt c.retx with
+          | None -> c.rtx_deadline <- None
+          | Some e ->
               if e.retries >= t.max_retries then begin
                 c.state <- Closed;
                 c.error <- Some "retransmission limit exceeded";
@@ -670,7 +689,6 @@ let tick t =
                       Some (Int64.add now (Cio_overload.Retry_budget.backoff_ns rb))
                 | budget ->
                     e.retries <- e.retries + 1;
-                    e.sent_at <- now;
                     (* Exponential backoff and multiplicative decrease. *)
                     c.rto_ns <- Int64.mul 2L c.rto_ns;
                     c.ssthresh <- max (in_flight c / 2) (2 * c.mss);
@@ -686,13 +704,10 @@ let tick t =
                     in
                     c.rtx_deadline <- Some (Int64.add now pace);
                     note_retransmit t;
-                    if e.rsyn && c.state = Syn_sent then
-                      emit t c ~payload:e.rpayload ~syn:true ~ack:false ~seq:e.rseq ()
-                    else emit t c ~payload:e.rpayload ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
+                    resend t c ~ack:(not (e.rsyn && c.state = Syn_sent)) e
               end)
       | _ -> ())
     t.conns;
-  (* Garbage-collect closed connections. *)
-  t.conns <- List.filter (fun c -> c.state <> Closed || c.error <> None) t.conns
-
-let gc t = t.conns <- List.filter (fun c -> c.state <> Closed) t.conns
+  (* Drop closed connections, errored ones too: the application holds its
+     own [conn], so [conn_error] still reads. *)
+  t.conns <- List.filter (fun c -> c.state <> Closed) t.conns

@@ -36,11 +36,15 @@ val create :
   ?meter:Cost.meter ->
   ?retry_budget:Cio_overload.Retry_budget.t ->
   local_ip:Addr.ipv4 ->
-  send_segment:(dst:Addr.ipv4 -> bytes -> unit) ->
+  send_segment:(dst:Addr.ipv4 -> bytes -> int -> unit) ->
   now:(unit -> int64) ->
   rng:Rng.t ->
   unit ->
   t
+(** [send_segment ~dst frame len] receives a frame buffer built by
+    {!Cio_frame.Tcp_wire.build_frame}: a [len]-byte segment at
+    [Tcp_wire.headroom], for the caller to finish with IPv4 and Ethernet
+    headers in place. *)
 
 val meter : t -> Cost.meter
 val segments_in : t -> int
@@ -51,7 +55,6 @@ val retransmits : t -> int
 
 val conn_state : conn -> state
 val conn_error : conn -> string option
-val conn_id : conn -> int
 
 val conn_remote : conn -> Addr.ipv4 * int
 (** Remote (ip, port) — what a reconnect after an I/O-stack restart needs
@@ -65,9 +68,15 @@ val send : t -> conn -> bytes -> int
 (** Queue application data; returns bytes accepted (0 unless the
     connection is open for sending). Call {!flush} to segment. *)
 
+val send_buffer : t -> conn -> Buffer.t -> int
+(** {!send} taking the bytes from the front of a buffer, which is left
+    unchanged: the data is copied once, into the connection. *)
+
 val flush : t -> conn -> unit
 
 val recv : t -> conn -> max:int -> bytes
+(** Up to [max] bytes of the in-order stream, copied out once. *)
+
 val recv_available : conn -> int
 
 val eof : conn -> bool
@@ -80,7 +89,6 @@ val input : t -> src:Addr.ipv4 -> Tcp_wire.t -> unit
 (** Process one inbound segment (already IP-demultiplexed). *)
 
 val tick : t -> unit
-(** Run retransmission / TIME-WAIT timers against the [now] clock. *)
-
-val gc : t -> unit
-(** Drop all closed connections, including errored ones. *)
+(** Run retransmission / TIME-WAIT timers against the [now] clock, then
+    forget every closed connection, including errored ones (the owner's
+    [conn] handle keeps its state and error). *)

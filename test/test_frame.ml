@@ -259,6 +259,171 @@ let test_pretty_degrades () =
   Alcotest.(check bool) "garbage ip summarised" true
     (String.length (Pretty.ip_summary (Bytes.make 40 '\xCD')) > 0)
 
+(* Frames as the stack sends them: SYN and SYN-ACK with MSS, a pure ACK
+   (54 B, padded to 60), FIN, RST, and data segments of 1..1460 B, all
+   with seeded headers. The digest was computed with the three-pass
+   [Ethernet.build (Ipv4.build (Tcp_wire.build ...))] composition before
+   the single-buffer frame path replaced it. *)
+let golden_frames_digest = "4c8a79459f5b1226f8a084e1ee889d521bd302cabc2c937bf620c98ea9092c1b"
+
+let golden_frame_specs () =
+  let rng = Cio_util.Rng.create 0xF4A3EL in
+  let ack_flags = { Tcp_wire.flags_none with Tcp_wire.ack = true } in
+  let spec ?mss ~(flags : Tcp_wire.flags) payload =
+    let r32 () = Int64.to_int32 (Cio_util.Rng.next_int64 rng) in
+    let mac () = Cio_util.Rng.int rng (1 lsl 47) * 2 in
+    let eth_dst = mac () and eth_src = mac () in
+    let src_ip = r32 () and dst_ip = r32 () in
+    let ttl = 1 + Cio_util.Rng.int rng 255 in
+    let seg =
+      {
+        Tcp_wire.src_port = Cio_util.Rng.int rng 65536;
+        dst_port = Cio_util.Rng.int rng 65536;
+        seq = r32 ();
+        ack = (if flags.Tcp_wire.ack then r32 () else 0l);
+        flags;
+        window = Cio_util.Rng.int rng 65536;
+        mss;
+        payload;
+      }
+    in
+    (eth_dst, eth_src, src_ip, dst_ip, ttl, seg)
+  in
+  [
+    spec ~mss:1460 ~flags:{ Tcp_wire.flags_none with Tcp_wire.syn = true } Bytes.empty;
+    spec ~mss:536 ~flags:{ ack_flags with Tcp_wire.syn = true } Bytes.empty;
+    spec ~flags:ack_flags Bytes.empty;
+    spec ~flags:{ ack_flags with Tcp_wire.fin = true } Bytes.empty;
+    spec ~flags:{ Tcp_wire.flags_none with Tcp_wire.rst = true } Bytes.empty;
+    spec ~flags:{ ack_flags with Tcp_wire.rst = true } Bytes.empty;
+  ]
+  @ List.init 1460 (fun i ->
+        spec ~flags:{ ack_flags with Tcp_wire.psh = true } (Cio_util.Rng.bytes rng (i + 1)))
+
+let composed_frame (eth_dst, eth_src, src_ip, dst_ip, ttl, seg) =
+  Ethernet.build
+    {
+      Ethernet.dst = eth_dst;
+      src = eth_src;
+      ethertype = Ethernet.Ipv4;
+      payload =
+        Ipv4.build
+          {
+            Ipv4.src = src_ip;
+            dst = dst_ip;
+            protocol = Ipv4.Tcp;
+            ttl;
+            payload = Tcp_wire.build ~src_ip ~dst_ip seg;
+          };
+    }
+
+let frames_digest build =
+  let acc = Buffer.create (1 lsl 21) in
+  List.iter (fun s -> Buffer.add_bytes acc (build s)) (golden_frame_specs ());
+  Cio_crypto.Sha256.hex_digest_string (Buffer.contents acc)
+
+(* The stack's path: the segment is written into the frame buffer from
+   an offset of a larger store, then the IPv4 and Ethernet headers go in
+   front of it. *)
+let one_buffer_frame (eth_dst, eth_src, src_ip, dst_ip, ttl, seg) =
+  let len = Bytes.length seg.Tcp_wire.payload in
+  let store = Bytes.make (len + 11) '\xEE' in
+  Bytes.blit seg.Tcp_wire.payload 0 store 7 len;
+  let frame = Tcp_wire.build_frame ~src_ip ~dst_ip seg ~data:store ~off:7 ~len in
+  Ipv4.write_header frame ~off:Ethernet.header_len ~src:src_ip ~dst:dst_ip ~protocol:Ipv4.Tcp ~ttl
+    ~payload_len:(Tcp_wire.header_bytes seg + len);
+  Ethernet.write_header frame ~dst:eth_dst ~src:eth_src ~ethertype:Ethernet.Ipv4;
+  frame
+
+let test_golden_frames () =
+  Alcotest.(check string) "composed" golden_frames_digest (frames_digest composed_frame);
+  Alcotest.(check string) "one buffer" golden_frames_digest (frames_digest one_buffer_frame)
+
+(* Reference: the RFC 1071 sum taken one 16-bit word at a time, which the
+   32-bit-word loop in [Checksum] must match. *)
+let reference_sum b ~pos ~len ~init =
+  let sum = ref init and i = ref pos in
+  while !i + 1 < pos + len do
+    sum := !sum + Bytes.get_uint16_be b !i;
+    i := !i + 2
+  done;
+  if !i < pos + len then sum := !sum + (Char.code (Bytes.get b !i) lsl 8);
+  while !sum lsr 16 <> 0 do
+    sum := (!sum land 0xFFFF) + (!sum lsr 16)
+  done;
+  !sum
+
+let prop_checksum_matches_reference =
+  QCheck.Test.make ~name:"checksum: 32-bit sum equals 16-bit reference" ~count:500
+    QCheck.(quad payload_arb small_nat small_nat (int_bound 0x3FFFF))
+    (fun (b, a, c, init) ->
+      let n = Bytes.length b in
+      let pos = if n = 0 then 0 else a mod n in
+      let len = if n - pos = 0 then 0 else c mod (n - pos + 1) in
+      Checksum.ones_complement_sum b ~pos ~len ~init = reference_sum b ~pos ~len ~init)
+
+(* A valid segment, damaged in one of the ways the parser reports. *)
+let damaged_segment_arb =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (payload, mss, damage, (pre, post)) ->
+          let seg = tcp_seg ~payload ~mss:(if mss then Some 1200 else None) () in
+          let b = Tcp_wire.build ~src_ip:ip_a ~dst_ip:ip_b seg in
+          let n = Bytes.length b in
+          let b =
+            match damage mod 5 with
+            | 0 -> b
+            | 1 -> Bytes.sub b 0 (damage mod 20)  (* truncated header *)
+            | 2 -> Bytes.set b 12 (Char.chr (((damage / 5) mod 5) lsl 4)); b  (* offset below 20 *)
+            | 3 -> Bytes.set b 12 '\xF0'; b  (* offset beyond a short segment *)
+            | _ ->
+                let i = damage mod n in
+                Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+                b
+          in
+          (b, pre, post))
+        (quad (map Bytes.of_string (string_size (int_range 0 40))) bool (int_bound 1000)
+           (pair (int_bound 9) (int_bound 9))))
+  in
+  QCheck.make ~print:(fun (b, pre, post) -> Printf.sprintf "%s @%d +%d" (Cio_util.Hex.of_bytes b) pre post) gen
+
+let embed b pre post =
+  let big = Bytes.make (pre + Bytes.length b + post) '\xA5' in
+  Bytes.blit b 0 big pre (Bytes.length b);
+  big
+
+let prop_tcp_parse_at_offset =
+  QCheck.Test.make ~name:"tcp parse_at an offset equals parse of the slice" ~count:500
+    damaged_segment_arb (fun (b, pre, post) ->
+      Tcp_wire.parse_at ~src_ip:ip_a ~dst_ip:ip_b (embed b pre post) ~off:pre ~len:(Bytes.length b)
+      = Tcp_wire.parse ~src_ip:ip_a ~dst_ip:ip_b b)
+
+let prop_ipv4_parse_at_offset =
+  QCheck.Test.make ~name:"ipv4 parse_at an offset equals parse of the slice" ~count:500
+    QCheck.(triple payload_arb (int_bound 400) (pair (int_bound 9) (int_bound 9)))
+    (fun (p, damage, (pre, post)) ->
+      let b = Ipv4.build (ip_packet (Bytes.sub p 0 (min 60 (Bytes.length p)))) in
+      let b =
+        match damage mod 4 with
+        | 0 -> b
+        | 1 -> Bytes.sub b 0 (damage mod Bytes.length b)  (* truncated *)
+        | 2 -> Bytes.cat b (Bytes.make (damage mod 30) '\000')  (* link padding *)
+        | _ ->
+            let i = damage mod Ipv4.header_len in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (damage mod 8))));
+            b
+      in
+      let big = embed b pre post in
+      let at =
+        Result.map
+          (fun (h : Ipv4.header) ->
+            { Ipv4.src = h.src; dst = h.dst; protocol = h.protocol; ttl = h.ttl;
+              payload = Bytes.sub big h.payload_off h.payload_len })
+          (Ipv4.parse_at big ~off:pre ~len:(Bytes.length b))
+      in
+      at = Ipv4.parse b)
+
 let suite =
   [
     Alcotest.test_case "addr: mac octets" `Quick test_mac_octets;
@@ -290,4 +455,8 @@ let suite =
     Helpers.qtest prop_udp_roundtrip;
     Helpers.qtest prop_tcp_roundtrip;
     Helpers.qtest prop_ipv4_bitflip_rejected_or_equal;
+    Alcotest.test_case "frame: golden digest" `Quick test_golden_frames;
+    Helpers.qtest prop_checksum_matches_reference;
+    Helpers.qtest prop_tcp_parse_at_offset;
+    Helpers.qtest prop_ipv4_parse_at_offset;
   ]
