@@ -135,6 +135,15 @@ let test_aead_seal_open () =
          let sealed = Cio_crypto.Aead.seal ~key ~nonce ~aad:Bytes.empty data in
          ignore (Cio_crypto.Aead.open_ ~key ~nonce ~aad:Bytes.empty sealed)))
 
+(* One run = XOR a 16 KiB record with the ChaCha20 keystream in place:
+   the keystream alone, most of the record cipher's time. *)
+let test_chacha20_xor () =
+  let data = Bytes.make 16384 'c' in
+  let key = Bytes.make 32 'k' and nonce = Bytes.make 12 'n' in
+  Test.make ~name:"chacha20-xor-16KiB"
+    (Staged.stage (fun () ->
+         Cio_crypto.Chacha20.xor_into ~key ~nonce data ~src_off:0 data ~dst_off:0 ~len:16384))
+
 (* One run = one 16 KiB Tcp.send over an established connection between
    two stacks on loopback netifs, polled until the peer has read it all:
    segmentation, frame build and parse, reassembly and the copy out. *)
@@ -230,9 +239,9 @@ let test_dda () =
         (Staged.stage (fun () -> ignore (Cio_dda.Dda.transfer t payload)))
 
 let micro_tests ?(smoke = false) () =
-  (* The cionet subset, the record cipher and the TCP byte path are the
-     perf trajectory CI tracks against BENCH_baseline.json; --smoke runs
-     only these. *)
+  (* The cionet subset, the record cipher, its keystream and the TCP byte
+     path are the perf trajectory CI tracks against BENCH_baseline.json;
+     --smoke runs only these. *)
   let tracked =
     [
       test_ring_roundtrip (Cio_cionet.Config.Inline { data_capacity = 4096 }) "inline";
@@ -250,6 +259,7 @@ let micro_tests ?(smoke = false) () =
       test_ring_burst (Cio_cionet.Config.Inline { data_capacity = 4096 }) "inline" ~depth:64;
       test_overload_admission ();
       test_aead_seal_open ();
+      test_chacha20_xor ();
       test_tcp_transfer ();
     ]
   in

@@ -20,7 +20,9 @@ let pad16 p n = Poly1305.feed p zeros ~pos:0 ~len:((16 - (n land 15)) land 15)
 
 (* The tag over [aad] and the [len] ciphertext bytes of [c] at [off]. *)
 let compute_tag ~key ~nonce ~aad c ~off ~len =
-  let p = Poly1305.init ~key:(Chacha20.encrypt ~counter:0l ~key ~nonce zeros) in
+  let otk = Bytes.make 32 '\000' in
+  Chacha20.xor_into ~counter:0l ~key ~nonce otk ~src_off:0 otk ~dst_off:0 ~len:32;
+  let p = Poly1305.init ~key:otk in
   Poly1305.feed_bytes p aad;
   pad16 p (Bytes.length aad);
   Poly1305.feed p c ~pos:off ~len;

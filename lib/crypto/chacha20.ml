@@ -1,26 +1,16 @@
 (* ChaCha20 stream cipher (RFC 8439 §2). Verified against the RFC vectors
    in the test suite.
 
-   Words are native ints masked to 32 bits, so the rounds allocate
-   nothing: a call owns two 16-word int arrays (input state and working
+   Words are native ints whose low 32 bits hold the value, so the rounds
+   allocate nothing: a call owns two 16-word int arrays (input state and
    keystream) and XORs whole 32-bit words, the tail byte by byte. *)
 
 let mask32 = 0xFFFF_FFFF
 
-let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
-
-let[@inline] quarter_round x a b c d =
-  let va = (x.(a) + x.(b)) land mask32 in
-  let vd = rotl (x.(d) lxor va) 16 in
-  let vc = (x.(c) + vd) land mask32 in
-  let vb = rotl (x.(b) lxor vc) 12 in
-  let va = (va + vb) land mask32 in
-  let vd = rotl (vd lxor va) 8 in
-  let vc = (vc + vd) land mask32 in
-  x.(b) <- rotl (vb lxor vc) 7;
-  x.(a) <- va;
-  x.(c) <- vc;
-  x.(d) <- vd
+(* Sums are left unmasked: native ints wrap mod 2^63, so their low 32 bits
+   stay exact. [rotl] masks its input, the only place the high bits could
+   leak into the low 32. *)
+let rotl x n = let x = x land mask32 in (x lsl n) lor (x lsr (32 - n))
 
 let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land mask32
 
@@ -36,19 +26,37 @@ let init_state ~key ~nonce ~counter =
   st
 
 (* The keystream block for [st] into [ks]; [st]'s counter then advances,
-   wrapping at 2^32. *)
+   wrapping at 2^32. The working state is 16 local refs that never escape,
+   so ocamlopt keeps them in registers or stack slots, not on the heap. *)
 let next_block st ks =
-  Array.blit st 0 ks 0 16;
+  let x0 = ref st.(0) and x1 = ref st.(1) and x2 = ref st.(2) and x3 = ref st.(3) in
+  let x4 = ref st.(4) and x5 = ref st.(5) and x6 = ref st.(6) and x7 = ref st.(7) in
+  let x8 = ref st.(8) and x9 = ref st.(9) and x10 = ref st.(10) and x11 = ref st.(11) in
+  let x12 = ref st.(12) and x13 = ref st.(13) and x14 = ref st.(14) and x15 = ref st.(15) in
   for _ = 1 to 10 do
-    quarter_round ks 0 4 8 12;
-    quarter_round ks 1 5 9 13;
-    quarter_round ks 2 6 10 14;
-    quarter_round ks 3 7 11 15;
-    quarter_round ks 0 5 10 15;
-    quarter_round ks 1 6 11 12;
-    quarter_round ks 2 7 8 13;
-    quarter_round ks 3 4 9 14
+    (* Columns. *)
+    x0 := !x0 + !x4; x12 := rotl (!x12 lxor !x0) 16; x8 := !x8 + !x12; x4 := rotl (!x4 lxor !x8) 12;
+    x0 := !x0 + !x4; x12 := rotl (!x12 lxor !x0) 8; x8 := !x8 + !x12; x4 := rotl (!x4 lxor !x8) 7;
+    x1 := !x1 + !x5; x13 := rotl (!x13 lxor !x1) 16; x9 := !x9 + !x13; x5 := rotl (!x5 lxor !x9) 12;
+    x1 := !x1 + !x5; x13 := rotl (!x13 lxor !x1) 8; x9 := !x9 + !x13; x5 := rotl (!x5 lxor !x9) 7;
+    x2 := !x2 + !x6; x14 := rotl (!x14 lxor !x2) 16; x10 := !x10 + !x14; x6 := rotl (!x6 lxor !x10) 12;
+    x2 := !x2 + !x6; x14 := rotl (!x14 lxor !x2) 8; x10 := !x10 + !x14; x6 := rotl (!x6 lxor !x10) 7;
+    x3 := !x3 + !x7; x15 := rotl (!x15 lxor !x3) 16; x11 := !x11 + !x15; x7 := rotl (!x7 lxor !x11) 12;
+    x3 := !x3 + !x7; x15 := rotl (!x15 lxor !x3) 8; x11 := !x11 + !x15; x7 := rotl (!x7 lxor !x11) 7;
+    (* Diagonals. *)
+    x0 := !x0 + !x5; x15 := rotl (!x15 lxor !x0) 16; x10 := !x10 + !x15; x5 := rotl (!x5 lxor !x10) 12;
+    x0 := !x0 + !x5; x15 := rotl (!x15 lxor !x0) 8; x10 := !x10 + !x15; x5 := rotl (!x5 lxor !x10) 7;
+    x1 := !x1 + !x6; x12 := rotl (!x12 lxor !x1) 16; x11 := !x11 + !x12; x6 := rotl (!x6 lxor !x11) 12;
+    x1 := !x1 + !x6; x12 := rotl (!x12 lxor !x1) 8; x11 := !x11 + !x12; x6 := rotl (!x6 lxor !x11) 7;
+    x2 := !x2 + !x7; x13 := rotl (!x13 lxor !x2) 16; x8 := !x8 + !x13; x7 := rotl (!x7 lxor !x8) 12;
+    x2 := !x2 + !x7; x13 := rotl (!x13 lxor !x2) 8; x8 := !x8 + !x13; x7 := rotl (!x7 lxor !x8) 7;
+    x3 := !x3 + !x4; x14 := rotl (!x14 lxor !x3) 16; x9 := !x9 + !x14; x4 := rotl (!x4 lxor !x9) 12;
+    x3 := !x3 + !x4; x14 := rotl (!x14 lxor !x3) 8; x9 := !x9 + !x14; x4 := rotl (!x4 lxor !x9) 7
   done;
+  ks.(0) <- !x0; ks.(1) <- !x1; ks.(2) <- !x2; ks.(3) <- !x3;
+  ks.(4) <- !x4; ks.(5) <- !x5; ks.(6) <- !x6; ks.(7) <- !x7;
+  ks.(8) <- !x8; ks.(9) <- !x9; ks.(10) <- !x10; ks.(11) <- !x11;
+  ks.(12) <- !x12; ks.(13) <- !x13; ks.(14) <- !x14; ks.(15) <- !x15;
   for i = 0 to 15 do ks.(i) <- (ks.(i) + st.(i)) land mask32 done;
   st.(12) <- (st.(12) + 1) land mask32
 
@@ -73,13 +81,3 @@ let xor_into ?(counter = 1l) ~key ~nonce src ~src_off dst ~dst_off ~len =
     done;
     pos := !pos + n
   done
-
-let encrypt ?counter ~key ~nonce data =
-  let n = Bytes.length data in
-  let out = Bytes.create n in
-  xor_into ?counter ~key ~nonce data ~src_off:0 out ~dst_off:0 ~len:n;
-  out
-
-let decrypt = encrypt
-
-let block ~key ~nonce ~counter = encrypt ~counter ~key ~nonce (Bytes.make 64 '\000')

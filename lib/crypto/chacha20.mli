@@ -1,8 +1,5 @@
 (** ChaCha20 stream cipher (RFC 8439). *)
 
-val block : key:bytes -> nonce:bytes -> counter:int32 -> bytes
-(** One 64-byte keystream block. [key] is 32 bytes, [nonce] 12 bytes. *)
-
 val xor_into :
   ?counter:int32 ->
   key:bytes ->
@@ -18,10 +15,3 @@ val xor_into :
     [counter] (default 1), to [dst] from [dst_off]. The block counter wraps
     at 2^32. The two ranges may coincide (in-place) but must not otherwise
     overlap. Raises [Invalid_argument] on a bad key, nonce or range. *)
-
-val encrypt : ?counter:int32 -> key:bytes -> nonce:bytes -> bytes -> bytes
-(** A fresh buffer holding the data XORed with the keystream starting at
-    [counter] (default 1, the AEAD convention). *)
-
-val decrypt : ?counter:int32 -> key:bytes -> nonce:bytes -> bytes -> bytes
-(** Identical to [encrypt]; the cipher is an involution. *)

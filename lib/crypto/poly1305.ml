@@ -127,8 +127,3 @@ let finish t =
   Bytes.set_int32_le out 8 (Int32.of_int f2);
   Bytes.set_int32_le out 12 (Int32.of_int f3);
   out
-
-let mac ~key msg =
-  let t = init ~key in
-  feed_bytes t msg;
-  finish t

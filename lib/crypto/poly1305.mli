@@ -10,5 +10,3 @@ val feed_bytes : t -> bytes -> unit
 
 val finish : t -> bytes
 (** 16-byte tag. The state must not be reused afterwards. *)
-
-val mac : key:bytes -> bytes -> bytes

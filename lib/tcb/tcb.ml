@@ -39,7 +39,7 @@ let host_side_files =
 
 let count_file path =
   match open_in path with
-  | exception Sys_error _ -> 0
+  | exception Sys_error _ -> failwith ("Tcb: source file not readable: " ^ path)
   | ic ->
       let n = ref 0 in
       (try

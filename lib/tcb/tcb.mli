@@ -9,6 +9,10 @@ val loc : string -> int
     repo root, {!host_side_files} excluded. Raises [Invalid_argument] on
     unknown names and [Failure] when a component directory is missing. *)
 
+val count_file : string -> int
+(** Lines in one source file. Raises [Failure] when it cannot be read, as
+    {!loc} does for a missing directory: never a stand-in count. *)
+
 val host_side_files : string list
 (** Files (relative to the repo root) that simulate the untrusted host:
     never counted as TCB, even inside a component directory, and exempt

@@ -5,8 +5,9 @@ Usage: check_bench_baseline.py CURRENT.json BASELINE.json [--strict]
 
 Both files are cio-bench-v1 JSON as written by `bench/main.exe --json`.
 Compares the `micro_ns_per_run` entries whose names start with
-"cio/cionet" (the L2 datapath), "cio/aead" (the L5 record cipher) or
-"cio/tcp" (the in-TEE TCP/IP byte path):
+"cio/cionet" (the L2 datapath), "cio/aead" (the L5 record cipher),
+"cio/chacha20" (its keystream alone) or "cio/tcp" (the in-TEE TCP/IP
+byte path):
 warns when a micro got more than 10% slower than the baseline (exit 1
 with --strict), and checks the batching win — a burst
 micro of depth d must cost less per frame than d times its single-slot
@@ -24,7 +25,7 @@ import sys
 
 SLOWDOWN_TOLERANCE = 1.10
 PREFIX = "cio/cionet"
-TRACKED = (PREFIX, "cio/aead", "cio/tcp")
+TRACKED = (PREFIX, "cio/aead", "cio/chacha20", "cio/tcp")
 
 
 def load(path, optional=False):

@@ -221,9 +221,9 @@ let test_tls_record_path_alloc_bounded () =
   in
   (* Warm-up: the splitter's store grows to one record once. *)
   for _ = 1 to 3 do ignore (roundtrip ()) done;
-  let w0 = Gc.minor_words () and b0 = Gc.allocated_bytes () in
+  let w0 = Gc.minor_words () and b0 = Helpers.allocated_bytes () in
   let r = roundtrip () in
-  let words = Gc.minor_words () -. w0 and bytes = Gc.allocated_bytes () -. b0 in
+  let words = Gc.minor_words () -. w0 and bytes = Helpers.allocated_bytes () -. b0 in
   Alcotest.(check bool) "payload delivered" true (r.S.err = None && r.S.app_data = [ payload ]);
   Alcotest.(check bool) (Printf.sprintf "minor words %.0f <= 1024" words) true (words <= 1024.);
   Alcotest.(check bool)

@@ -101,10 +101,18 @@ let test_hkdf_expand_label_distinct () =
 
 (* --- ChaCha20 (RFC 8439 §2.3.2 / §2.4.2) ----------------------------- *)
 
+(* [data] XORed with the keystream from [counter] into a fresh buffer: the
+   one-shot cipher, built on [Chacha20.xor_into]. *)
+let chacha20 ?counter ~key ~nonce data =
+  let n = Bytes.length data in
+  let out = Bytes.create n in
+  Chacha20.xor_into ?counter ~key ~nonce data ~src_off:0 out ~dst_off:0 ~len:n;
+  out
+
 let test_chacha20_block_vector () =
   let key = hex "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f" in
   let nonce = hex "000000090000004a00000000" in
-  let block = Chacha20.block ~key ~nonce ~counter:1l in
+  let block = chacha20 ~counter:1l ~key ~nonce (Bytes.make 64 '\000') in
   Alcotest.(check string) "first 16 bytes" "10f1e7e4d13b5915500fdd1fa32071c4"
     (Hex.of_bytes (Bytes.sub block 0 16))
 
@@ -114,29 +122,35 @@ let sunscreen =
 let test_chacha20_encrypt_vector () =
   let key = hex "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f" in
   let nonce = hex "000000000000004a00000000" in
-  let ct = Chacha20.encrypt ~counter:1l ~key ~nonce (Bytes.of_string sunscreen) in
+  let ct = chacha20 ~counter:1l ~key ~nonce (Bytes.of_string sunscreen) in
   Alcotest.(check string) "ciphertext head" "6e2e359a2568f98041ba0728dd0d6981"
     (Hex.of_bytes (Bytes.sub ct 0 16));
   Alcotest.(check int) "ciphertext length" 114 (Bytes.length ct);
   (* Decrypting with the same parameters must restore the plaintext. *)
   Helpers.check_bytes "decrypts back" (Bytes.of_string sunscreen)
-    (Chacha20.decrypt ~counter:1l ~key ~nonce ct)
+    (chacha20 ~counter:1l ~key ~nonce ct)
 
 let test_chacha20_involution () =
   let key = Bytes.make 32 'K' and nonce = Bytes.make 12 'N' in
   let pt = Bytes.of_string "round trip data of odd length.." in
-  let back = Chacha20.decrypt ~key ~nonce (Chacha20.encrypt ~key ~nonce pt) in
+  let back = chacha20 ~key ~nonce (chacha20 ~key ~nonce pt) in
   Helpers.check_bytes "involution" pt back
 
 let test_chacha20_key_validation () =
   Alcotest.check_raises "short key" (Invalid_argument "Chacha20: key must be 32 bytes") (fun () ->
-      ignore (Chacha20.encrypt ~key:(Bytes.make 16 'k') ~nonce:(Bytes.make 12 'n') Bytes.empty))
+      ignore (chacha20 ~key:(Bytes.make 16 'k') ~nonce:(Bytes.make 12 'n') Bytes.empty))
 
 (* --- Poly1305 (RFC 8439 §2.5.2) -------------------------------------- *)
 
+(* The tag of [msg] fed in one piece. *)
+let poly1305_mac ~key msg =
+  let t = Poly1305.init ~key in
+  Poly1305.feed_bytes t msg;
+  Poly1305.finish t
+
 let test_poly1305_vector () =
   let key = hex "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b" in
-  let tag = Poly1305.mac ~key (Bytes.of_string "Cryptographic Forum Research Group") in
+  let tag = poly1305_mac ~key (Bytes.of_string "Cryptographic Forum Research Group") in
   Alcotest.(check string) "tag" "a8061dc1305136c6c22b8baf0c0127a9" (Hex.of_bytes tag)
 
 let test_poly1305_streaming () =
@@ -176,7 +190,7 @@ let test_poly1305_edge_vectors () =
   List.iteri
     (fun i (key, msg, tag) ->
       Alcotest.(check string) (Printf.sprintf "vector #%d" (i + 5)) tag
-        (Hex.of_bytes (Poly1305.mac ~key:(hex key) (hex msg))))
+        (Hex.of_bytes (poly1305_mac ~key:(hex key) (hex msg))))
     poly1305_edge_vectors
 
 (* --- AEAD (RFC 8439 §2.8.2) ------------------------------------------ *)
@@ -284,12 +298,12 @@ let test_aead_golden_sweep () =
   let key = Rng.bytes rng 32 in
   let nonce = Rng.bytes rng 12 in
   let pt = Rng.bytes rng 192 in
-  Buffer.add_bytes acc (Chacha20.encrypt ~counter:0xFFFFFFFFl ~key ~nonce pt);
+  Buffer.add_bytes acc (chacha20 ~counter:0xFFFFFFFFl ~key ~nonce pt);
   Alcotest.(check string) "sweep digest" golden_sweep_digest
     (Sha256.hex_digest_string (Buffer.contents acc))
 
 let prop_poly1305_split_feeds =
-  QCheck.Test.make ~name:"poly1305 split feeds at an offset equal mac" ~count:300
+  QCheck.Test.make ~name:"poly1305 split feeds at an offset equal one feed" ~count:300
     QCheck.(triple bytes_arb (int_range 0 40) (pair small_nat small_nat))
     (fun (msg, pos, (a, b)) ->
       let n = Bytes.length msg in
@@ -302,10 +316,10 @@ let prop_poly1305_split_feeds =
       Poly1305.feed t buf ~pos ~len:i;
       Poly1305.feed t buf ~pos:(pos + i) ~len:(j - i);
       Poly1305.feed t buf ~pos:(pos + j) ~len:(n - j);
-      Bytes.equal (Poly1305.finish t) (Poly1305.mac ~key msg))
+      Bytes.equal (Poly1305.finish t) (poly1305_mac ~key msg))
 
 let prop_chacha20_xor_into_offsets =
-  QCheck.Test.make ~name:"chacha20 xor_into at offsets equals encrypt" ~count:300
+  QCheck.Test.make ~name:"chacha20 xor_into at offsets equals offset 0" ~count:300
     QCheck.(triple bytes_arb (int_range 0 70) (int_range 0 70))
     (fun (pt, src_off, dst_off) ->
       let key = Bytes.make 32 'K' and nonce = Bytes.make 12 'N' in
@@ -314,9 +328,118 @@ let prop_chacha20_xor_into_offsets =
       Bytes.blit pt 0 src src_off n;
       let dst = Bytes.make (dst_off + n + 5) '\xAA' in
       Chacha20.xor_into ~counter:7l ~key ~nonce src ~src_off dst ~dst_off ~len:n;
-      Bytes.equal (Bytes.sub dst dst_off n) (Chacha20.encrypt ~counter:7l ~key ~nonce pt)
+      Bytes.equal (Bytes.sub dst dst_off n) (chacha20 ~counter:7l ~key ~nonce pt)
       && Bytes.for_all (fun c -> c = '\xAA') (Bytes.sub dst 0 dst_off)
       && Bytes.for_all (fun c -> c = '\xAA') (Bytes.sub dst (dst_off + n) 5))
+
+(* --- ChaCha20 against the array-based block ---------------------------- *)
+
+(* The block [Chacha20] computed before its state moved into local refs:
+   the working state is an int array and every step masks to 32 bits. It
+   stays here as an oracle for the register-resident block. *)
+let oracle_mask32 = 0xFFFF_FFFF
+
+let oracle_rotl x n = ((x lsl n) lor (x lsr (32 - n))) land oracle_mask32
+
+let oracle_quarter_round x a b c d =
+  let va = (x.(a) + x.(b)) land oracle_mask32 in
+  let vd = oracle_rotl (x.(d) lxor va) 16 in
+  let vc = (x.(c) + vd) land oracle_mask32 in
+  let vb = oracle_rotl (x.(b) lxor vc) 12 in
+  let va = (va + vb) land oracle_mask32 in
+  let vd = oracle_rotl (vd lxor va) 8 in
+  let vc = (vc + vd) land oracle_mask32 in
+  x.(b) <- oracle_rotl (vb lxor vc) 7;
+  x.(a) <- va;
+  x.(c) <- vc;
+  x.(d) <- vd
+
+let oracle_next_block st ks =
+  Array.blit st 0 ks 0 16;
+  for _ = 1 to 10 do
+    oracle_quarter_round ks 0 4 8 12;
+    oracle_quarter_round ks 1 5 9 13;
+    oracle_quarter_round ks 2 6 10 14;
+    oracle_quarter_round ks 3 7 11 15;
+    oracle_quarter_round ks 0 5 10 15;
+    oracle_quarter_round ks 1 6 11 12;
+    oracle_quarter_round ks 2 7 8 13;
+    oracle_quarter_round ks 3 4 9 14
+  done;
+  for i = 0 to 15 do ks.(i) <- (ks.(i) + st.(i)) land oracle_mask32 done;
+  st.(12) <- (st.(12) + 1) land oracle_mask32
+
+(* [len] bytes of [src] XORed byte by byte with the oracle's keystream. *)
+let oracle_xor ~counter ~key ~nonce src ~src_off ~len =
+  let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land oracle_mask32 in
+  let st =
+    Array.concat
+      [ [| 0x61707865; 0x3320646e; 0x79622d32; 0x6b206574 |];
+        Array.init 8 (fun i -> u32 key (4 * i));
+        [| Int32.to_int counter land oracle_mask32 |];
+        Array.init 3 (fun i -> u32 nonce (4 * i)) ]
+  in
+  let ks = Array.make 16 0 in
+  let out = Bytes.create len in
+  for i = 0 to len - 1 do
+    if i land 63 = 0 then oracle_next_block st ks;
+    let k = (ks.((i land 63) lsr 2) lsr (8 * (i land 3))) land 0xFF in
+    Bytes.set out i (Char.chr (Char.code (Bytes.get src (src_off + i)) lxor k))
+  done;
+  out
+
+(* Counters next to 0 and next to the 2^32 wrap, lengths up to one 16 KiB
+   record, offsets that misalign the word XOR, and in-place runs. *)
+let chacha20_case_gen =
+  let open QCheck.Gen in
+  let counter = map Int32.of_int (oneof [ int_range 0 3; int_range 0xFFFFFFF0 0xFFFFFFFF ]) in
+  let len = oneof [ int_range 0 300; int_range 0 16384 ] in
+  let bytes n = map Bytes.of_string (string_size (return n)) in
+  map
+    (fun ((key, nonce, counter), (len, src_off, dst_off, in_place), seed) ->
+      (key, nonce, counter, len, src_off, dst_off, in_place, seed))
+    (triple (triple (bytes 32) (bytes 12) counter)
+       (quad len (int_range 0 70) (int_range 0 70) bool)
+       int)
+
+let prop_chacha20_matches_oracle =
+  QCheck.Test.make ~name:"chacha20 xor_into equals the array-based block" ~count:200
+    (QCheck.make
+       ~print:(fun (key, nonce, counter, len, src_off, dst_off, in_place, _) ->
+         Printf.sprintf "key=%s nonce=%s counter=%lx len=%d src_off=%d dst_off=%d in_place=%b"
+           (Hex.of_bytes key) (Hex.of_bytes nonce) counter len src_off dst_off in_place)
+       chacha20_case_gen)
+    (fun (key, nonce, counter, len, src_off, dst_off, in_place, seed) ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let src = Rng.bytes rng (src_off + len + 3) in
+      let want = oracle_xor ~counter ~key ~nonce src ~src_off ~len in
+      if in_place then begin
+        Chacha20.xor_into ~counter ~key ~nonce src ~src_off src ~dst_off:src_off ~len;
+        Bytes.equal (Bytes.sub src src_off len) want
+      end
+      else begin
+        let dst = Bytes.make (dst_off + len + 5) '\xAA' in
+        Chacha20.xor_into ~counter ~key ~nonce src ~src_off dst ~dst_off ~len;
+        Bytes.equal (Bytes.sub dst dst_off len) want
+        && Bytes.for_all (fun c -> c = '\xAA') (Bytes.sub dst 0 dst_off)
+        && Bytes.for_all (fun c -> c = '\xAA') (Bytes.sub dst (dst_off + len) 5)
+      end)
+
+(* Minor words one in-place [xor_into] over [len] bytes allocates. *)
+let xor_into_minor_words len =
+  let key = Bytes.make 32 'K' and nonce = Bytes.make 12 'N' in
+  let buf = Bytes.make len 'x' in
+  let before = Gc.minor_words () in
+  Chacha20.xor_into ~key ~nonce buf ~src_off:0 buf ~dst_off:0 ~len;
+  int_of_float (Gc.minor_words () -. before)
+
+(* A call allocates its two 16-word arrays and nothing per block: 64 B and
+   16 KiB cost the same words. A state ref that escaped would be boxed and
+   add words for each of the 256 blocks. *)
+let test_chacha20_allocation_flat () =
+  let small = xor_into_minor_words 64 and large = xor_into_minor_words 16384 in
+  Alcotest.(check int) "16 KiB allocates what 64 B does" small large;
+  if large > 40 then Alcotest.failf "xor_into allocated %d minor words (> 40)" large
 
 let kib_record = Bytes.init 1024 (fun i -> Char.chr (i * 7 land 0xFF))
 let kib_sealed = Aead.seal ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad kib_record
@@ -387,4 +510,6 @@ let suite =
     Helpers.qtest prop_aead_kib_bit_flip;
     Helpers.qtest prop_poly1305_split_feeds;
     Helpers.qtest prop_chacha20_xor_into_offsets;
+    Helpers.qtest prop_chacha20_matches_oracle;
+    Alcotest.test_case "chacha20: allocation flat in length" `Quick test_chacha20_allocation_flat;
   ]

@@ -220,6 +220,25 @@ let test_campaign_sanitized_safe_path_clean () =
   Alcotest.(check int) "safe path: no double fetches" 0 r.Campaign.sanitizer_double_fetches;
   Alcotest.(check int) "safe path: no mutated fetches" 0 r.Campaign.sanitizer_mutated_fetches
 
+(* The UC rule sees [unsafe_*] and [Obj.magic] in source, not compiler
+   flags: no library may switch its bounds checks off with [-unsafe]. *)
+let test_no_unsafe_flag_in_lib_dune () =
+  let lib = Filename.concat (root ()) "lib" in
+  let dirs = List.sort compare (Array.to_list (Sys.readdir lib)) in
+  Alcotest.(check bool) "lib/ has libraries" true (dirs <> []);
+  List.iter
+    (fun d ->
+      let path = Filename.concat (Filename.concat lib d) "dune" in
+      Alcotest.(check bool) ("lib/" ^ d ^ "/dune exists") true (Sys.file_exists path);
+      let text = In_channel.with_open_text path In_channel.input_all in
+      let has_unsafe =
+        List.exists (fun tok -> tok = "-unsafe")
+          (String.split_on_char ' '
+             (String.map (function '\n' | '\t' | '(' | ')' | '"' -> ' ' | c -> c) text))
+      in
+      Alcotest.(check bool) ("lib/" ^ d ^ "/dune passes no -unsafe") false has_unsafe)
+    dirs
+
 let suite =
   [
     Alcotest.test_case "lint: corpus yields findings" `Quick test_corpus_yields_findings;
@@ -240,4 +259,6 @@ let suite =
       test_runtime_hardened_single_fetch;
     Alcotest.test_case "lint: sanitized campaign, safe path clean" `Slow
       test_campaign_sanitized_safe_path_clean;
+    Alcotest.test_case "lint: no -unsafe in lib dune flags" `Quick
+      test_no_unsafe_flag_in_lib_dune;
   ]

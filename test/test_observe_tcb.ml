@@ -64,6 +64,14 @@ let test_tcb_missing_tree_raises () =
       | n -> Alcotest.failf "counted %d LoC from a missing tree" n
       | exception Failure _ -> ())
 
+(* Nor from a missing file: an unreadable source counts as an error, not as
+   zero lines, so an E6 figure cannot fall without code being deleted. *)
+let test_tcb_missing_file_raises () =
+  let path = Filename.concat (Helpers.repo_root ()) "lib/tls/no_such_file.ml" in
+  match Tcb.count_file path with
+  | n -> Alcotest.failf "counted %d lines from a missing file" n
+  | exception Failure _ -> ()
+
 let test_tcb_profiles_complete () =
   List.iter
     (fun config ->
@@ -155,4 +163,5 @@ let suite =
       test_tcb_e6_doc_matches_live;
     Alcotest.test_case "tcb: profiles resolve against the tree" `Quick
       test_tcb_profiles_resolve_against_tree;
+    Alcotest.test_case "tcb: missing file raises" `Quick test_tcb_missing_file_raises;
   ]

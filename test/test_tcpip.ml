@@ -523,14 +523,6 @@ let test_partial_ack_retransmits_whole_segment () =
   Alcotest.(check int32) "resent from the segment's start" first.Tcp_wire.seq resent.Tcp_wire.seq;
   H.check_bytes "original bytes" (Bytes.sub data 0 1460) resent.Tcp_wire.payload
 
-(* Bytes allocated so far. [Gc.allocated_bytes] is not used: on OCaml
-   5.1 it under-reports minor-heap allocation about eightfold (it gave
-   13,012 B for 100 fresh 1000-byte buffers), while [Gc.minor_words] is
-   exact. *)
-let allocated_bytes () =
-  let _, promoted, major = Gc.counters () in
-  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
-
 (* One 16 KiB send, segmented, carried over the loopback pair and read
    out, allocates a small multiple of its payload. *)
 let test_tcp_transfer_allocation_bounded () =
@@ -539,7 +531,7 @@ let test_tcp_transfer_allocation_bounded () =
   let size = 16384 in
   let data = Bytes.init size (fun i -> Char.chr (i * 13 land 0xFF)) in
   let received = ref 0 in
-  let a0 = allocated_bytes () in
+  let a0 = H.allocated_bytes () in
   Alcotest.(check int) "accepted" size (Tcp.send tcp_a client data);
   Tcp.flush tcp_a client;
   let ok =
@@ -547,7 +539,7 @@ let test_tcp_transfer_allocation_bounded () =
         received := !received + Bytes.length (Tcp.recv tcp_b server ~max:65536);
         !received >= size)
   in
-  let allocated = allocated_bytes () -. a0 in
+  let allocated = H.allocated_bytes () -. a0 in
   Alcotest.(check bool) "received" true ok;
   if allocated > float_of_int (8 * size) then
     Alcotest.failf "16 KiB transfer allocated %.0f B (> 8 x 16 KiB)" allocated
