@@ -304,25 +304,6 @@ let run_micro ?(smoke = false) () =
 
 (* --- machine-readable output (--json) -------------------------------- *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  json_escape buf s;
-  Buffer.add_char buf '"'
-
 let micro_ns_per_run results =
   (* merged results: measure label -> (test name -> OLS). One instance
      (monotonic_clock), so just flatten. *)
@@ -341,25 +322,25 @@ let micro_ns_per_run results =
 let write_json ~file ~mode ~smoke ~experiments ~micro =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf "{\"schema\":\"cio-bench-v1\",\"mode\":";
-  add_json_string buf mode;
+  Cio_util.Json.add_string buf mode;
   Buffer.add_string buf (Printf.sprintf ",\"smoke\":%b" smoke);
   Buffer.add_string buf ",\"experiments\":[";
   List.iteri
     (fun i (id, title, output) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf "{\"id\":";
-      add_json_string buf id;
+      Cio_util.Json.add_string buf id;
       Buffer.add_string buf ",\"title\":";
-      add_json_string buf title;
+      Cio_util.Json.add_string buf title;
       Buffer.add_string buf ",\"output\":";
-      add_json_string buf output;
+      Cio_util.Json.add_string buf output;
       Buffer.add_char buf '}')
     experiments;
   Buffer.add_string buf "],\"micro_ns_per_run\":{";
   List.iteri
     (fun i (name, ns) ->
       if i > 0 then Buffer.add_char buf ',';
-      add_json_string buf name;
+      Cio_util.Json.add_string buf name;
       Buffer.add_string buf (Printf.sprintf ":%.2f" ns))
     micro;
   Buffer.add_string buf "},\"metrics\":";

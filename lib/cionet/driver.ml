@@ -9,12 +9,8 @@ module Trace = Cio_telemetry.Trace
 module Metrics = Cio_telemetry.Metrics
 module Kind = Cio_telemetry.Kind
 
-let m_tx = Metrics.counter Metrics.default "driver.tx_frames"
-let m_rx = Metrics.counter Metrics.default "driver.rx_frames"
-let m_kicks = Metrics.counter Metrics.default "driver.doorbells"
 let m_kicks_coalesced = Metrics.counter Metrics.default "driver.doorbells_coalesced"
 let m_batch_depth = Metrics.histogram Metrics.default "batch.depth"
-let m_swaps = Metrics.counter Metrics.default "driver.hot_swaps"
 
 type instance = {
   region : Region.t;
@@ -110,7 +106,6 @@ let hot_swap t =
     make_instance ~model:t.model ~meter:t.meter ~host_meter:t.host_meter
       ~name:(Printf.sprintf "%s-gen%d" t.name t.generation)
       t.config;
-  Metrics.inc m_swaps;
   if Trace.on () then Trace.span_end ~cat:Kind.l2 "hot-swap"
 
 (* One doorbell covers [n] produced frames: the kick is stateless and
@@ -120,7 +115,6 @@ let hot_swap t =
 let kick t n =
   if n > 0 && t.config.Config.use_notifications then begin
     Cost.charge (guest_meter t) Cost.Notification t.model.Cost.notification;
-    Metrics.inc m_kicks;
     if n > 1 then Metrics.add m_kicks_coalesced (n - 1);
     if Trace.on () then Trace.instant ~cat:Kind.l2 Kind.kick
   end
@@ -138,11 +132,10 @@ let tx_pressure t =
    total-length field) stages short frames in pool buffers, recycled as
    soon as the ring has copied them out, so there is no per-frame
    allocation in steady state. Returns how many frames went in; the tail
-   is the caller's to retry, and a refusal is counted as
-   [overload.bp.ring_full]. *)
+   is the caller's to retry, and a refusal is counted in the TX ring's
+   [full_misses]. *)
 let transmit_burst t frames =
-  let n_in = Array.length frames in
-  if n_in = 0 then 0
+  if Array.length frames = 0 then 0
   else begin
     let traced = Trace.on () in
     if traced then Trace.span_begin ~cat:Kind.l2 "tx-burst";
@@ -169,11 +162,9 @@ let transmit_burst t frames =
         staged;
     if n > 0 then begin
       t.tx_frames <- t.tx_frames + n;
-      Metrics.add m_tx n;
       Metrics.observe m_batch_depth n;
       kick t n
     end;
-    if n < n_in then Cio_overload.Pressure.note_ring_full ();
     if traced then Trace.span_end ~cat:Kind.l2 "tx-burst";
     n
   end
@@ -182,7 +173,6 @@ let transmit t frame = transmit_burst t [| frame |] = 1
 
 let got_rx t frame =
   t.rx_frames <- t.rx_frames + 1;
-  Metrics.inc m_rx;
   if Trace.on () then
     Trace.instant ~arg:(Bytes.length frame) ~cat:Kind.l2 "rx-frame"
 

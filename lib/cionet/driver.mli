@@ -42,7 +42,7 @@ val transmit_burst : t -> bytes array -> int
 (** Place up to a whole batch in one ring crossing with at most one
     doorbell (coalesced under [use_notifications]); returns how many
     frames went in. When the ring fills first, the tail is the caller's
-    to hold and the refusal is counted as [overload.bp.ring_full] (see
+    to hold and the TX ring counts the refusal in its [full_misses] (see
     {!tx_pressure} for the level). Short frames are padded via pool
     buffers when [pad_frames] is set — no per-frame allocation in steady
     state. *)

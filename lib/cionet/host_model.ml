@@ -14,10 +14,6 @@ module Trace = Cio_telemetry.Trace
 module Metrics = Cio_telemetry.Metrics
 module Kind = Cio_telemetry.Kind
 
-let m_tx_forwarded = Metrics.counter Metrics.default "host.tx_forwarded"
-let m_rx_injected = Metrics.counter Metrics.default "host.rx_injected"
-let m_faults = Metrics.counter Metrics.default "host.faults"
-let m_rx_dropped = Metrics.counter Metrics.default "host.rx_dropped"
 let m_injected = Metrics.counter Metrics.default "host.misbehaviors_injected"
 
 type misbehavior =
@@ -210,13 +206,11 @@ let poll t =
           List.iter
             (fun frame ->
               t.stats.tx_forwarded <- t.stats.tx_forwarded + 1;
-              Metrics.inc m_tx_forwarded;
               t.transmit frame)
             frames;
           drain_tx ()
       | exception Region.Fault _ ->
           t.stats.faults <- t.stats.faults + 1;
-          Metrics.inc m_faults;
           if Trace.on () then Trace.instant ~cat:Kind.l2 "host-fault"
   in
   drain_tx ();
@@ -229,7 +223,6 @@ let poll t =
       ignore (Queue.take t.pending_rx);
       t.drop_frames <- t.drop_frames - 1;
       t.stats.rx_dropped <- t.stats.rx_dropped + 1;
-      Metrics.inc m_rx_dropped;
       if Trace.on () then Trace.instant ~cat:Kind.l2 "host-rx-drop";
       fill_rx ()
     end
@@ -249,7 +242,6 @@ let poll t =
           ignore (Queue.take t.pending_rx);
           rx_left := !rx_left - 1;
           t.stats.rx_injected <- t.stats.rx_injected + 1;
-          Metrics.inc m_rx_injected;
           t.last_frame <- Some frame;
           sabotage t;
           (match take t (function Replay_slot -> true | _ -> false) with
@@ -265,7 +257,6 @@ let poll t =
       | false -> ()
       | exception Region.Fault _ ->
           t.stats.faults <- t.stats.faults + 1;
-          Metrics.inc m_faults;
           if Trace.on () then Trace.instant ~cat:Kind.l2 "host-fault";
           ignore (Queue.take t.pending_rx)
     end
@@ -285,7 +276,6 @@ let poll t =
           if n > 0 then begin
             rx_left := !rx_left - n;
             t.stats.rx_injected <- t.stats.rx_injected + n;
-            Metrics.add m_rx_injected n;
             for i = 0 to n - 2 do
               Bufpool.recycle t.pool frames.(i)
             done;
@@ -303,7 +293,6 @@ let poll t =
           else fill_rx_burst ()
       | exception Region.Fault _ ->
           t.stats.faults <- t.stats.faults + 1;
-          Metrics.inc m_faults;
           if Trace.on () then Trace.instant ~cat:Kind.l2 "host-fault"
     end
   in

@@ -28,19 +28,7 @@
 open Cio_util
 open Cio_mem
 module Trace = Cio_telemetry.Trace
-module Metrics = Cio_telemetry.Metrics
 module Kind = Cio_telemetry.Kind
-
-(* Aggregate slot-lifecycle metrics across every ring in the process.
-   Handles are resolved once at module init, so the per-event cost is a
-   single unboxed increment — cheap enough to leave always on. *)
-let m_produced = Metrics.counter Metrics.default "ring.produced"
-let m_consumed = Metrics.counter Metrics.default "ring.consumed"
-let m_full_misses = Metrics.counter Metrics.default "ring.full_misses"
-let m_empty_polls = Metrics.counter Metrics.default "ring.empty_polls"
-let m_len_clamped = Metrics.counter Metrics.default "ring.len_clamped"
-let m_index_masked = Metrics.counter Metrics.default "ring.index_masked"
-let m_state_skipped = Metrics.counter Metrics.default "ring.state_skipped"
 
 let state_empty = 0
 let state_full = 1
@@ -216,14 +204,12 @@ let write_payload t actor ~off payload =
       charge t actor Cost.Dma (Cost.dma_cost t.model (Bytes.length payload))
 
 let empty_poll t =
-  t.counters.empty_polls <- t.counters.empty_polls + 1;
-  Metrics.inc m_empty_polls
+  t.counters.empty_polls <- t.counters.empty_polls + 1
 
 (* A confined untrusted index or offset: counted when confinement moved it. *)
 let note_masked t ~raw confined =
   if confined <> raw then begin
     t.counters.index_masked <- t.counters.index_masked + 1;
-    Metrics.inc m_index_masked;
     if Trace.on () then Trace.instant ~arg:raw ~cat:Kind.l2 "slot-mask"
   end;
   confined
@@ -232,7 +218,6 @@ let note_masked t ~raw confined =
    move on. Progress is made; no message comes out. *)
 let skip_slot ?amortized t actor slot ~state =
   t.counters.state_skipped <- t.counters.state_skipped + 1;
-  Metrics.inc m_state_skipped;
   if Trace.on () then Trace.instant ~arg:state ~cat:Kind.l2 "slot-skip";
   write_word ?amortized t actor ~off:(hdr_off t slot) state_empty;
   t.cons_next <- t.cons_next + 1
@@ -260,7 +245,6 @@ let produce_one t ~amortized payload =
   let state, _, _ = read_header t ~amortized actor slot in
   if state <> state_empty then begin
     t.counters.full_misses <- t.counters.full_misses + 1;
-    Metrics.inc m_full_misses;
     false
   end
   else begin
@@ -277,7 +261,6 @@ let produce_one t ~amortized payload =
           match Queue.take_opt t.free_units with
           | None ->
               t.counters.full_misses <- t.counters.full_misses + 1;
-              Metrics.inc m_full_misses;
               -1
           | Some u -> (
               t.bindings.(slot) <- Some u;
@@ -302,7 +285,6 @@ let produce_one t ~amortized payload =
       write_word t ~amortized actor ~off:(hdr_off t slot) state_full;
       t.prod_next <- t.prod_next + 1;
       t.counters.produced <- t.counters.produced + 1;
-      Metrics.inc m_produced;
       if Trace.on () then Trace.instant ~arg:len ~cat:Kind.l2 "slot-produce";
       true
     end
@@ -331,7 +313,6 @@ let locate ?(amortized = false) t actor slot ~len ~info =
     charge t actor Cost.Check t.model.Cost.check;
     if len > cap then begin
       t.counters.len_clamped <- t.counters.len_clamped + 1;
-      Metrics.inc m_len_clamped;
       if Trace.on () then Trace.instant ~arg:len ~cat:Kind.l2 "slot-clamp";
       cap
     end
@@ -397,7 +378,6 @@ let consume_one ?pool t ~amortized =
       write_word t ~amortized actor ~off:(hdr_off t slot) state_empty;
       t.cons_next <- t.cons_next + 1;
       t.counters.consumed <- t.counters.consumed + 1;
-      Metrics.inc m_consumed;
       if Trace.on () then Trace.instant ~arg:len ~cat:Kind.l2 "slot-consume";
       Cr_frame payload
     end
@@ -482,7 +462,6 @@ let try_consume_revoke_burst ?pool ?(max = 64) t =
     done;
     t.cons_next <- t.cons_next + k;
     t.counters.consumed <- t.counters.consumed + k;
-    Metrics.add m_consumed k;
     if Trace.on () then Trace.instant ~arg:k ~cat:Kind.l2 "slot-revoke-burst";
     frames
   end

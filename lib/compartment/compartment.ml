@@ -17,13 +17,7 @@
 
 open Cio_util
 module Trace = Cio_telemetry.Trace
-module Metrics = Cio_telemetry.Metrics
 module Kind = Cio_telemetry.Kind
-
-let m_crossings = Metrics.counter Metrics.default "l5.crossings"
-let m_denied = Metrics.counter Metrics.default "l5.denied"
-let m_crashes = Metrics.counter Metrics.default "l5.crashes"
-let m_restarts = Metrics.counter Metrics.default "l5.restarts"
 
 exception Access_violation of string
 
@@ -98,7 +92,6 @@ let crash_domain t d =
   if d.alive then begin
     d.alive <- false;
     t.counters.crashes <- t.counters.crashes + 1;
-    Metrics.inc m_crashes;
     if Trace.on () then Trace.instant ~cat:Kind.l5 ("crash:" ^ d.dname)
   end
 
@@ -107,7 +100,6 @@ let restart_domain t d =
     d.alive <- true;
     d.incarnation <- d.incarnation + 1;
     t.counters.restarts <- t.counters.restarts + 1;
-    Metrics.inc m_restarts;
     if Trace.on () then
       Trace.instant ~arg:d.incarnation ~cat:Kind.l5 ("restart:" ^ d.dname)
   end
@@ -122,14 +114,12 @@ let crossing_cost t =
    call (the data-handoff pattern of the dual-boundary design). *)
 let charge_crossing t =
   t.counters.crossings <- t.counters.crossings + 1;
-  Metrics.inc m_crossings;
   if Trace.on () then Trace.instant ~cat:Kind.l5 "handoff";
   Cost.charge t.meter Cost.Gate (2 * crossing_cost t)
 
 let require_alive t d ~doing =
   if not d.alive then begin
     t.counters.denied <- t.counters.denied + 1;
-    Metrics.inc m_denied;
     raise (Access_violation (Printf.sprintf "%s: %s refused, domain crashed" d.dname doing))
   end
 
@@ -140,7 +130,6 @@ let call t ~caller ~callee f =
   if caller.id = callee.id then f ()
   else begin
     t.counters.crossings <- t.counters.crossings + 1;
-    Metrics.inc m_crossings;
     let traced = Trace.on () in
     if traced then Trace.span_begin ~cat:Kind.l5 ("call:" ^ callee.dname);
     Cost.charge t.meter Cost.Gate (crossing_cost t);
@@ -186,7 +175,6 @@ let check_access t ~as_ b ~write =
   require_alive t as_ ~doing:"memory access";
   if b.freed then begin
     t.counters.denied <- t.counters.denied + 1;
-    Metrics.inc m_denied;
     raise (Access_violation (Printf.sprintf "%s: use after free of buffer %d" as_.dname b.b_id))
   end;
   if as_.id <> b.owner then begin
@@ -195,7 +183,6 @@ let check_access t ~as_ b ~write =
     | Some _ -> ()
     | None ->
         t.counters.denied <- t.counters.denied + 1;
-        Metrics.inc m_denied;
         raise
           (Access_violation
              (Printf.sprintf "%s: %s access to buffer %d owned by domain %d denied" as_.dname

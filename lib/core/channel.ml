@@ -31,7 +31,7 @@ type t = {
   copy_on_recv : bool;
   meter : Cost.meter;
   model : Cost.model;
-  outbox : Buffer.t;     (* sealed wire bytes awaiting TCP *)
+  outbox : Outbox.t;     (* sealed wire bytes awaiting TCP *)
   raw_in : bytes Queue.t;  (* harvested stream bytes, oldest first *)
   inbox : bytes Queue.t;
   mutable failed : Session.error option;
@@ -51,7 +51,7 @@ let create ?(zero_copy_send = false) ?(copy_on_recv = false) ?(enter_io = fun f 
     copy_on_recv;
     meter;
     model;
-    outbox = Buffer.create 4096;
+    outbox = Outbox.create ();
     raw_in = Queue.create ();
     inbox = Queue.create ();
     failed = None;
@@ -72,32 +72,19 @@ let fail t e = if t.failed = None then t.failed <- Some e
 let queue_wire t wire =
   if not t.zero_copy_send then
     Cost.charge t.meter Cost.Copy (Cost.copy_cost t.model (Bytes.length wire));
-  Buffer.add_bytes t.outbox wire
+  Outbox.add t.outbox wire
 
 (* I/O-domain half: must be called within the I/O domain (the caller
    decides how the boundary is crossed). Returns whether any bytes moved
    across the L5 boundary, so the caller can charge handoff crossings. *)
 let io_pump t =
-  let moved = ref false in
-  (* Flush as much of the outbox as TCP will take. *)
-  let pending = Buffer.length t.outbox in
-  if pending > 0 then begin
-    let accepted = Tcp.send_buffer (Stack.tcp t.stack) t.conn t.outbox in
-    if accepted > 0 then begin
-      moved := true;
-      let rest = if accepted < pending then Buffer.sub t.outbox accepted (pending - accepted) else "" in
-      Buffer.clear t.outbox;
-      Buffer.add_string t.outbox rest;
-      Tcp.flush (Stack.tcp t.stack) t.conn
-    end
-  end;
-  (* Harvest inbound stream bytes. *)
+  (* Flush as much of the outbox as TCP will take, then harvest inbound
+     stream bytes. *)
+  let sent = Outbox.flush (Stack.tcp t.stack) t.conn t.outbox > 0 in
   let b = Tcp.recv (Stack.tcp t.stack) t.conn ~max:65536 in
-  if Bytes.length b > 0 then begin
-    moved := true;
-    Queue.add b t.raw_in
-  end;
-  !moved
+  let got = Bytes.length b > 0 in
+  if got then Queue.add b t.raw_in;
+  sent || got
 
 (* App-side half: move harvested bytes through the record layer. *)
 let app_pump t =
@@ -155,7 +142,7 @@ let send_admitted ?(klass = Cio_overload.Admission.Interactive) ?deadline t payl
       | Cio_overload.Pressure.Accepted -> (
           match send t payload with Ok () -> Sent | Error e -> Send_error e))
 
-let outbox_bytes t = Buffer.length t.outbox
+let outbox_bytes t = Outbox.length t.outbox
 let recv t = if Queue.is_empty t.inbox then None else Some (Queue.take t.inbox)
 let pending t = Queue.length t.inbox
 let is_established t = Session.is_established t.session

@@ -326,25 +326,14 @@ let make_syscall env =
     Cio_observe.Observe.record env.tap ~time:(Engine.now env.engine) ~kind ~size
   in
   let inbox = Queue.create () in
-  let outbox = Buffer.create 4096 in
+  let outbox = Outbox.create () in
   let failed = ref false in
   let push_wire wire =
     (* One send syscall per record: the host sees the call and its size. *)
     syscall Kind_.sys_send (Bytes.length wire);
-    Buffer.add_bytes outbox wire
+    Outbox.add outbox wire
   in
-  let flush_outbox () =
-    let pending = Buffer.length outbox in
-    if pending > 0 then begin
-      let accepted = Tcp.send_buffer (Stack.tcp stack) conn outbox in
-      if accepted > 0 then begin
-        let rest = if accepted < pending then Buffer.sub outbox accepted (pending - accepted) else "" in
-        Buffer.clear outbox;
-        Buffer.add_string outbox rest;
-        Tcp.flush (Stack.tcp stack) conn
-      end
-    end
-  in
+  let flush_outbox () = ignore (Outbox.flush (Stack.tcp stack) conn outbox) in
   (match Session.initiate session with
   | Ok flights -> List.iter push_wire flights
   | Error _ -> failed := true);

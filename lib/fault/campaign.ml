@@ -510,7 +510,9 @@ let pp ppf t =
 (* Machine-readable report (cio-campaign-v1 payload): every counted
    quantity, flat, for CI artifacts and offline diffing. *)
 let to_json buf t =
-  let field name value = Printf.bprintf buf "\"%s\":%s" name value in
+  let key name = Printf.bprintf buf "\"%s\":" name in
+  let field name value = key name; Buffer.add_string buf value in
+  let str_field name s = key name; Json.add_string buf s in
   let int_field name v = field name (string_of_int v) in
   Buffer.add_char buf '{';
   field "seed" (Printf.sprintf "%Ld" t.seed);
@@ -530,13 +532,13 @@ let to_json buf t =
   int_field "admitted" t.admitted; Buffer.add_char buf ',';
   int_field "shed" t.shed; Buffer.add_char buf ',';
   int_field "breaker_transitions" t.breaker_transitions; Buffer.add_char buf ',';
-  field "breaker_state" (Printf.sprintf "%S" t.breaker_state); Buffer.add_char buf ',';
+  str_field "breaker_state" t.breaker_state; Buffer.add_char buf ',';
   Printf.bprintf buf "\"faults\":[";
   List.iteri
     (fun i f ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_char buf '{';
-      field "kind" (Printf.sprintf "%S" (Format.asprintf "%a" Plan.pp_kind f.kind));
+      str_field "kind" (Format.asprintf "%a" Plan.pp_kind f.kind);
       Buffer.add_char buf ',';
       int_field "injected_at" f.injected_at; Buffer.add_char buf ',';
       field "detected" (if f.detected then "true" else "false"); Buffer.add_char buf ',';

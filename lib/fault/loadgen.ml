@@ -143,10 +143,7 @@ let run ?(config = default_config) ~seed () =
       incr offered;
       match plane with
       | Some p ->
-          if Queue.length genq >= config.gen_queue_limit then begin
-            incr shed;
-            Cio_overload.Pressure.note_queue_full ()
-          end
+          if Queue.length genq >= config.gen_queue_limit then incr shed
           else Queue.add (step, Cio_overload.Plane.deadline p) genq
       | None -> Queue.add (step, Cio_overload.Deadline.none) genq
     done;

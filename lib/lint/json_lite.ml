@@ -194,19 +194,6 @@ let to_int_opt = function Num f -> Some (int_of_float f) | _ -> None
 
 (* --- writing --------------------------------------------------------- *)
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -214,10 +201,7 @@ let rec write buf = function
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.0f" f)
       else Buffer.add_string buf (Printf.sprintf "%g" f)
-  | Str s ->
-      Buffer.add_char buf '"';
-      escape buf s;
-      Buffer.add_char buf '"'
+  | Str s -> Cio_util.Json.add_string buf s
   | List items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -231,9 +215,8 @@ let rec write buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          escape buf k;
-          Buffer.add_string buf "\":";
+          Cio_util.Json.add_string buf k;
+          Buffer.add_char buf ':';
           write buf v)
         fields;
       Buffer.add_char buf '}'

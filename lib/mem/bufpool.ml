@@ -14,15 +14,6 @@
 
 open Cio_util
 
-let m_dropped = Cio_telemetry.Metrics.counter Cio_telemetry.Metrics.default "bufpool.dropped"
-let m_retained_high =
-  Cio_telemetry.Metrics.gauge Cio_telemetry.Metrics.default "bufpool.retained_high"
-
-(* Process-wide high watermark of retained buffers in any single pool:
-   the number that says how much memory the recycling scheme can pin at
-   worst, which is what capacity planning wants from the gauge. *)
-let global_high = ref 0
-
 type stats = {
   mutable fresh : int;     (* acquires that had to allocate *)
   mutable reused : int;    (* acquires served from a free list *)
@@ -83,21 +74,12 @@ let recycle t b =
   let len = Bytes.length b in
   if len > 0 then begin
     let counter = class_counter t (class_of len) in
-    if !counter >= t.cap then begin
-      t.stats.dropped <- t.stats.dropped + 1;
-      Cio_telemetry.Metrics.inc m_dropped
-    end
+    if !counter >= t.cap then t.stats.dropped <- t.stats.dropped + 1
     else begin
       incr counter;
       t.stats.recycled <- t.stats.recycled + 1;
       t.retained_count <- t.retained_count + 1;
-      if t.retained_count > t.high_watermark then begin
-        t.high_watermark <- t.retained_count;
-        if t.retained_count > !global_high then begin
-          global_high := t.retained_count;
-          Cio_telemetry.Metrics.set m_retained_high t.retained_count
-        end
-      end;
+      if t.retained_count > t.high_watermark then t.high_watermark <- t.retained_count;
       let q =
         match Hashtbl.find_opt t.buckets len with
         | Some q -> q

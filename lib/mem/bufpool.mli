@@ -36,6 +36,5 @@ val retained : t -> int
 (** Free buffers currently held across all buckets. *)
 
 val high_watermark : t -> int
-(** Most free buffers this pool ever held at once. The process-wide
-    maximum across pools is exported as the [bufpool.retained_high]
-    gauge; cap-rejected returns count under [bufpool.dropped]. *)
+(** Most free buffers this pool ever held at once. Cap-rejected returns
+    count under [dropped] in {!stats}. *)

@@ -9,7 +9,6 @@
    attack harness race the guest between two fetches. *)
 
 open Cio_util
-module Metrics = Cio_telemetry.Metrics
 
 type actor = Guest | Host
 
@@ -129,15 +128,10 @@ let san_note t ~off ~len =
         (fun (off2, len2, snap2) ->
           if ranges_overlap (off, len) (off2, len2) then begin
             s.s_double <- s.s_double + 1;
-            Metrics.inc (Metrics.counter Metrics.default "mem.sanitizer.double_fetch");
             let lo = max off off2 and hi = min (off + len) (off2 + len2) in
             let w1 = String.sub snap (lo - off) (hi - lo) in
             let w2 = String.sub snap2 (lo - off2) (hi - lo) in
-            if not (String.equal w1 w2) then begin
-              s.s_mutated <- s.s_mutated + 1;
-              Metrics.inc
-                (Metrics.counter Metrics.default "mem.sanitizer.double_fetch_mutated")
-            end
+            if not (String.equal w1 w2) then s.s_mutated <- s.s_mutated + 1
           end)
         s.s_fetches;
       s.s_fetches <- (off, len, snap) :: s.s_fetches

@@ -112,11 +112,10 @@ val set_guest_read_hook : t -> (off:int -> len:int -> unit) option -> unit
     double-fetch detector. It is armed from the outside — by a test or
     fault campaign — and watches code that never asked to be watched:
     every guest fetch of a shared range is compared against the current
-    epoch's earlier fetches, and overlaps bump the
-    [mem.sanitizer.double_fetch] (and, when the bytes changed in between,
-    [mem.sanitizer.double_fetch_mutated]) counters in
-    {!Cio_telemetry.Metrics.default}. When disabled the cost is a single
-    [None] branch per access. *)
+    epoch's earlier fetches, and overlaps are counted in
+    {!sanitizer_stats} ([mutated_fetches] when the bytes changed in
+    between). When disabled the cost is a single [None] branch per
+    access. *)
 
 type sanitizer_stats = { double_fetches : int; mutated_fetches : int; epochs : int }
 

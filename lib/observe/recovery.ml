@@ -4,13 +4,7 @@
    resets), the dual-boundary unit (I/O-domain crash/restart, channel
    reconnects) and the fault-campaign engine (injections). Consumers
    only ever see immutable [counts] snapshots; the old API returned the
-   mutable record itself and merely promised not to touch it.
-
-   Mutators additionally bump process-wide telemetry counters. Several
-   [t]s can be live at once (each Dual unit owns one), so the metrics
-   are the aggregate across all of them. *)
-
-module Metrics = Cio_telemetry.Metrics
+   mutable record itself and merely promised not to touch it. *)
 
 type t = {
   mutable live_faults : int;
@@ -26,29 +20,13 @@ type counts = {
   reconnects : int;
 }
 
-let m_faults = Metrics.counter Metrics.default "recovery.faults_injected"
-let m_stalls = Metrics.counter Metrics.default "recovery.stalls_detected"
-let m_resets = Metrics.counter Metrics.default "recovery.resets"
-let m_reconnects = Metrics.counter Metrics.default "recovery.reconnects"
-
 let create () =
   { live_faults = 0; live_stalls = 0; live_resets = 0; live_reconnects = 0 }
 
-let fault_injected t =
-  t.live_faults <- t.live_faults + 1;
-  Metrics.inc m_faults
-
-let stall_detected t =
-  t.live_stalls <- t.live_stalls + 1;
-  Metrics.inc m_stalls
-
-let reset t =
-  t.live_resets <- t.live_resets + 1;
-  Metrics.inc m_resets
-
-let reconnect t =
-  t.live_reconnects <- t.live_reconnects + 1;
-  Metrics.inc m_reconnects
+let fault_injected t = t.live_faults <- t.live_faults + 1
+let stall_detected t = t.live_stalls <- t.live_stalls + 1
+let reset t = t.live_resets <- t.live_resets + 1
+let reconnect t = t.live_reconnects <- t.live_reconnects + 1
 
 let snapshot t =
   {

@@ -3,10 +3,7 @@
 
     A live [t] is mutable and private to this module; consumers read it
     through {!snapshot}, which returns a plain immutable {!counts}
-    record. Every mutation is mirrored into the process-wide
-    [Cio_telemetry.Metrics.default] registry under [recovery.*], so the
-    self-healing story shows up in metric snapshots and [--json] bench
-    output without extra plumbing. *)
+    record. *)
 
 type t
 (** Live, mutable counter set. *)

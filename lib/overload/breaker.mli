@@ -1,12 +1,10 @@
 (** Circuit breaker over host health: Closed -> Open after [threshold]
     consecutive failures, Half_open probe after [cooldown] {!allow}
-    consultations, re-closed by any success. State is exported as the
-    [overload.breaker.state] gauge (0/1/2); every edge counts into
-    [overload.breaker.transitions]. *)
+    consultations, re-closed by any success. Every edge counts into
+    {!transitions}. *)
 
 type state = Closed | Open | Half_open
 
-val state_code : state -> int
 val state_name : state -> string
 
 type t

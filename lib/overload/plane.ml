@@ -13,19 +13,13 @@
      2. breaker not closed (non-control)-> Shed Breaker_open
      3. token bucket by class           -> Shed Admission / Accepted
 
-   Every decision is counted: [overload.admitted], [overload.shed] and
-   its per-reason splits. All state is deterministic from the simulated
+   Every decision is counted per plane: [admitted], [shed] and its
+   per-reason splits ([deadline_shed], [breaker_shed], the admission
+   controller's own). All state is deterministic from the simulated
    clock and the plane's Rng split, so campaigns and experiments report
    byte-identical numbers per seed. *)
 
 open Cio_util
-module Metrics = Cio_telemetry.Metrics
-
-let m_admitted = Metrics.counter Metrics.default "overload.admitted"
-let m_shed = Metrics.counter Metrics.default "overload.shed"
-let m_shed_admission = Metrics.counter Metrics.default "overload.shed.admission"
-let m_shed_deadline = Metrics.counter Metrics.default "overload.shed.deadline"
-let m_shed_breaker = Metrics.counter Metrics.default "overload.shed.breaker"
 
 type config = {
   admit_rate_per_sec : int;   (* token-bucket refill rate *)
@@ -95,26 +89,14 @@ let deadline t = Deadline.after ~now:(t.now ()) ~budget_ns:t.config.deadline_bud
 let admit ?(deadline = Deadline.none) t klass =
   if Deadline.expired deadline ~now:(t.now ()) then begin
     t.deadline_shed <- t.deadline_shed + 1;
-    Metrics.inc m_shed;
-    Metrics.inc m_shed_deadline;
     Pressure.Backpressure Pressure.Deadline
   end
   else if Breaker.state t.breaker <> Breaker.Closed && klass <> Admission.Control
   then begin
     t.breaker_shed <- t.breaker_shed + 1;
-    Metrics.inc m_shed;
-    Metrics.inc m_shed_breaker;
     Pressure.Backpressure Pressure.Breaker_open
   end
-  else
-    match Admission.admit t.admission klass with
-    | Pressure.Accepted ->
-        Metrics.inc m_admitted;
-        Pressure.Accepted
-    | Pressure.Backpressure _ as bp ->
-        Metrics.inc m_shed;
-        Metrics.inc m_shed_admission;
-        bp
+  else Admission.admit t.admission klass
 
 let admitted t = Admission.admitted_total t.admission
 let shed t = Admission.shed_total t.admission + t.deadline_shed + t.breaker_shed

@@ -1,6 +1,6 @@
 (** The overload-control plane of one confidential unit: admission
     controller + retry budget + circuit breaker + deadline budget, with
-    every decision counted under [overload.*] metrics. Deterministic
+    every decision counted by the plane ({!admitted}, {!shed}). Deterministic
     from the simulated clock and the plane's Rng split. *)
 
 type config = {

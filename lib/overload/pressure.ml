@@ -7,13 +7,11 @@
    silent paths with explicit, typed outcomes at each crossing: every
    producer learns *why* it was refused (ring full, bounded queue full,
    admission, deadline blown, breaker open), and every refusal is
-   counted.
+   counted by the instance that refused it.
 
    [level] is the continuous companion to the binary outcome: a queue's
    occupancy mapped to Nominal / Soft / Hard so upper layers can react
    before the hard edge (coalesce more, shed bulk traffic first). *)
-
-module Metrics = Cio_telemetry.Metrics
 
 type level = Nominal | Soft | Hard
 
@@ -51,12 +49,3 @@ let level_of_occupancy ~used ~capacity =
   else if used * 8 >= capacity * 7 then Hard
   else if used * 2 >= capacity then Soft
   else Nominal
-
-(* Backpressure *events* (a producer bounced off a full ring or bounded
-   queue) are module-level metrics: they can fire in layers that hold no
-   plane handle (driver, stack). *)
-let m_bp_ring = Metrics.counter Metrics.default "overload.bp.ring_full"
-let m_bp_queue = Metrics.counter Metrics.default "overload.bp.queue_full"
-
-let note_ring_full () = Metrics.inc m_bp_ring
-let note_queue_full () = Metrics.inc m_bp_queue

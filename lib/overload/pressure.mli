@@ -23,9 +23,3 @@ val worst : level -> level -> level
 (** Pointwise maximum, for aggregating per-queue levels. *)
 
 val level_of_occupancy : used:int -> capacity:int -> level
-
-val note_ring_full : unit -> unit
-(** Count one ring-full backpressure event ([overload.bp.ring_full]). *)
-
-val note_queue_full : unit -> unit
-(** Count one bounded-queue refusal ([overload.bp.queue_full]). *)

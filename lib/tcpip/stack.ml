@@ -62,8 +62,7 @@ let emit t frame =
   match (t.tx_burst, t.tx_queue_limit) with
   | Some _, Some lim when Queue.length t.txq >= lim ->
       t.counters.dropped <- t.counters.dropped + 1;
-      t.counters.last_drop_reason <- "tx backpressure: queue full";
-      Cio_overload.Pressure.note_queue_full ()
+      t.counters.last_drop_reason <- "tx backpressure: queue full"
   | burst, _ ->
       t.counters.frames_out <- t.counters.frames_out + 1;
       Cost.charge t.meter Cost.Stack 150;

@@ -37,7 +37,7 @@ val create :
     returns drained RX frame buffers to the driver's pool after parsing.
     Omitting both yields the classic frame-at-a-time stack.
     [tx_queue_limit] bounds the coalescing queue: a full queue sheds new
-    frames (counted under [dropped] and [overload.bp.queue_full])
+    frames (counted under [dropped])
     instead of growing without limit while the ring is full.
     [retry_budget] makes TCP retransmits (RTO and fast) spend from the
     shared overload-plane budget. *)

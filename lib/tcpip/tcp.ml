@@ -119,9 +119,6 @@ type t = {
   mutable retransmits : int;
 }
 
-let m_segments_in = Cio_telemetry.Metrics.counter Cio_telemetry.Metrics.default "tcp.segments_in"
-let m_segments_out = Cio_telemetry.Metrics.counter Cio_telemetry.Metrics.default "tcp.segments_out"
-let m_retransmits = Cio_telemetry.Metrics.counter Cio_telemetry.Metrics.default "tcp.retransmits"
 let m_segment_bytes =
   Cio_telemetry.Metrics.histogram Cio_telemetry.Metrics.default "tcp.segment_bytes"
 
@@ -129,7 +126,6 @@ let m_segment_bytes =
    expiry) funnel through here. *)
 let note_retransmit t =
   t.retransmits <- t.retransmits + 1;
-  Cio_telemetry.Metrics.inc m_retransmits;
   if Cio_telemetry.Trace.on () then
     Cio_telemetry.Trace.instant ~cat:Cio_telemetry.Kind.tcp "retransmit"
 
@@ -177,7 +173,6 @@ let charge_stack t nbytes =
    is written straight into the frame. *)
 let transmit t ~dst seg ~data ~at ~len =
   t.segments_out <- t.segments_out + 1;
-  Cio_telemetry.Metrics.inc m_segments_out;
   charge_stack t len;
   let frame = Tcp_wire.build_frame ~src_ip:t.local_ip ~dst_ip:dst seg ~data ~off:at ~len in
   t.send_segment ~dst frame (Tcp_wire.header_bytes seg + len)
@@ -366,7 +361,7 @@ let enqueue c avail blit =
   | _ -> 0
 
 let send _t c data = enqueue c (Bytes.length data) (fun dst off n -> Bytes.blit data 0 dst off n)
-let send_buffer _t c buf = enqueue c (Buffer.length buf) (fun dst off n -> Buffer.blit buf 0 dst off n)
+let send_buffer _t c ~off buf = enqueue c (Buffer.length buf - off) (fun dst at n -> Buffer.blit buf off dst at n)
 
 let flush t c = output t c
 
@@ -629,7 +624,6 @@ let handle_synreceived t c l (seg : Tcp_wire.t) =
 
 let input t ~src (seg : Tcp_wire.t) =
   t.segments_in <- t.segments_in + 1;
-  Cio_telemetry.Metrics.inc m_segments_in;
   charge_stack t (Bytes.length seg.Tcp_wire.payload);
   match
     find_conn t ~local_port:seg.Tcp_wire.dst_port ~remote_ip:src ~remote_port:seg.Tcp_wire.src_port

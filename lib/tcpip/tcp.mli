@@ -68,9 +68,9 @@ val send : t -> conn -> bytes -> int
 (** Queue application data; returns bytes accepted (0 unless the
     connection is open for sending). Call {!flush} to segment. *)
 
-val send_buffer : t -> conn -> Buffer.t -> int
-(** {!send} taking the bytes from the front of a buffer, which is left
-    unchanged: the data is copied once, into the connection. *)
+val send_buffer : t -> conn -> off:int -> Buffer.t -> int
+(** {!send} taking the bytes of a buffer from [off] on; the buffer is
+    left unchanged: the data is copied once, into the connection. *)
 
 val flush : t -> conn -> unit
 

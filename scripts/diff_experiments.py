@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Check that `cio_sim all` prints the same experiments as at BASE_REF.
+"""Check that `cio_sim all` and `cio_sim campaign` print the same as at BASE_REF.
 
 Usage: python3 scripts/diff_experiments.py BASE_REF
 
 Exports BASE_REF (any commit-ish) into a temporary directory with
 `git archive`, builds `bin/cio_sim.exe` there and in this tree, runs
-`cio_sim all` in both, and compares the outputs line by line.
+`cio_sim all` and `cio_sim campaign` in both, and compares the outputs
+line by line. The campaign text must match byte for byte.
 
 Every line must be byte-identical, with one exception: the TCB
 line counts, which refactors are expected to move. Those are the E6
@@ -43,11 +44,12 @@ def run(cmd, cwd):
     return proc.stdout
 
 
-def experiments(root):
-    """Build cio_sim in [root] and return the lines of `cio_sim all`."""
+def outputs(root):
+    """Build cio_sim in [root]; return the lines of `cio_sim all` and of `cio_sim campaign`."""
     run(["dune", "build", "--root", ".", "./bin/cio_sim.exe"], root)
     exe = os.path.join(root, "_build", "default", "bin", "cio_sim.exe")
-    return run([exe, "all", "--repo-root", "."], root).splitlines()
+    return (run([exe, "all", "--repo-root", "."], root).splitlines(),
+            run([exe, "campaign"], root).splitlines())
 
 
 def tcb_split(section, line):
@@ -62,6 +64,17 @@ def tcb_split(section, line):
         if m:
             return (m.group(1) + " # #", [int(m.group(2)), int(m.group(3))])
     return None
+
+
+def compare_exact(name, base, new):
+    """Differences between two outputs that must be byte-identical."""
+    problems = []
+    if len(base) != len(new):
+        problems.append(f"{name}: line count differs: {len(base)} at base, {len(new)} here")
+    for i, (b, n) in enumerate(zip(base, new), start=1):
+        if b != n:
+            problems.append(f"{name} line {i}:\n  base: {b}\n  here: {n}")
+    return problems
 
 
 def compare(base, new):
@@ -100,10 +113,12 @@ def main(argv):
         subprocess.run(["tar", "-x", "-C", tmp], stdin=archive.stdout, check=True)
         if archive.wait() != 0:
             fail(f"git archive {sha} failed")
-        base = experiments(tmp)
-    new = experiments(root)
+        base, base_campaign = outputs(tmp)
+    new, new_campaign = outputs(root)
     problems, changes = compare(base, new)
+    problems += compare_exact("campaign", base_campaign, new_campaign)
     print(f"cio_sim all: {len(new)} lines here vs {len(base)} at {ref} ({sha[:12]})")
+    print(f"cio_sim campaign: {len(new_campaign)} lines here vs {len(base_campaign)} at {ref}")
     for c in changes:
         print("  TCB LoC down: " + c)
     if problems:

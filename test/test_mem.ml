@@ -261,10 +261,6 @@ let prop_bufpool_acquire_is_exact_and_balanced =
 
 (* --- runtime double-fetch sanitizer ----------------------------------- *)
 
-let san_metric name =
-  Cio_telemetry.Metrics.counter_value
-    (Cio_telemetry.Metrics.counter Cio_telemetry.Metrics.default name)
-
 let test_sanitizer_off_counts_nothing () =
   let r = make () in
   Alcotest.(check bool) "off by default" false (Region.sanitizer_on r);
@@ -276,14 +272,14 @@ let test_sanitizer_off_counts_nothing () =
 
 let test_sanitizer_counts_double_fetch () =
   let r = make () in
-  let m0 = san_metric "mem.sanitizer.double_fetch" in
+  let s0 = Region.sanitizer_stats r in
   Region.sanitizer_enable r;
   ignore (Region.guest_read r ~off:0 ~len:8);
   ignore (Region.guest_read r ~off:4 ~len:8);
   let s = Region.sanitizer_stats r in
   Alcotest.(check int) "overlap counted" 1 s.Region.double_fetches;
   Alcotest.(check int) "bytes unchanged: not mutated" 0 s.Region.mutated_fetches;
-  Alcotest.(check int) "metric bumped" (m0 + 1) (san_metric "mem.sanitizer.double_fetch")
+  Alcotest.(check int) "metric bumped" (s0.Region.double_fetches + 1) s.Region.double_fetches
 
 let test_sanitizer_sees_host_race () =
   (* The attack harness's race hook rewrites the bytes after the first

@@ -184,6 +184,55 @@ let test_traced_e2_spans_both_boundaries () =
           check_int (Printf.sprintf "cat %s begin/end matched" cat) b e)
         [ Kind.l2; Kind.l5; Kind.experiment ])
 
+(* --- metric census ------------------------------------------------ *)
+
+(* DESIGN.md §7 "Metric names" is a table with one row per instrument of
+   the process-wide registry: [| `name` | kind | ... |]. Its rows must be
+   exactly the instruments registered, with [echo.rtt_us.<config>]
+   standing for the per-configuration RTT family. *)
+let documented_metrics () =
+  let lines =
+    In_channel.with_open_text (Filename.concat (Helpers.repo_root ()) "DESIGN.md")
+      In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  let rec section = function
+    | [] -> Alcotest.fail "DESIGN.md has no \"### Metric names\" section"
+    | l :: rest -> if String.trim l = "### Metric names" then rest else section rest
+  in
+  let rec rows acc = function
+    | l :: rest when not (String.starts_with ~prefix:"#" l) ->
+        let acc =
+          match String.split_on_char '|' l with
+          | "" :: name :: kind :: _ -> (
+              match String.split_on_char '`' (String.trim name) with
+              | [ ""; name; "" ] -> (name, String.trim kind) :: acc
+              | _ -> acc)
+          | _ -> acc
+        in
+        rows acc rest
+    | _ -> List.sort compare acc
+  in
+  rows [] (section lines)
+
+let test_metric_census () =
+  ignore (Cio_core.Configurations.run_echo ~messages:2 Cio_core.Configurations.Dual_boundary);
+  let family name =
+    if String.starts_with ~prefix:"echo.rtt_us." name then "echo.rtt_us.<config>" else name
+  in
+  let kind = function
+    | Metrics.Counter _ -> "counter"
+    | Metrics.Gauge _ -> "gauge"
+    | Metrics.Histogram _ -> "histogram"
+  in
+  let live =
+    Metrics.snapshot Metrics.default
+    |> List.map (fun (name, i) -> (family name, kind i))
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check (list (pair string string)))
+    "DESIGN.md §7 lists exactly the registered metrics" live (documented_metrics ())
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -202,4 +251,5 @@ let suite =
     Alcotest.test_case "chrome json shape" `Quick test_trace_chrome_json_shape;
     Alcotest.test_case "traced e2 spans both boundaries" `Slow
       test_traced_e2_spans_both_boundaries;
+    Alcotest.test_case "metric census matches DESIGN.md" `Quick test_metric_census;
   ]
