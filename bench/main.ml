@@ -73,6 +73,14 @@ let test_cionet_revoke () =
          Cio_cionet.Host_model.poll host;
          ignore (Cio_cionet.Driver.poll drv)))
 
+(* A warm buffer-pool cycle: the acquire/recycle pair every pooled frame
+   pays twice per echo (driver RX and host staging). *)
+let test_bufpool_cycle () =
+  let pool = Cio_mem.Bufpool.create () in
+  Cio_mem.Bufpool.recycle pool (Cio_mem.Bufpool.acquire pool 1514);
+  Test.make ~name:"cionet-bufpool"
+    (Staged.stage (fun () -> Cio_mem.Bufpool.recycle pool (Cio_mem.Bufpool.acquire pool 1514)))
+
 let test_virtio ~hardened name =
   let transport = Cio_virtio.Transport.create ~name:("bench-" ^ name) () in
   let dev =
@@ -258,6 +266,7 @@ let micro_tests ?(smoke = false) () =
         "indirect" ~depth:16;
       test_ring_burst (Cio_cionet.Config.Inline { data_capacity = 4096 }) "inline" ~depth:64;
       test_overload_admission ();
+      test_bufpool_cycle ();
       test_aead_seal_open ();
       test_chacha20_xor ();
       test_tcp_transfer ();

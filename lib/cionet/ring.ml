@@ -100,6 +100,10 @@ type t = {
   mutable next_desc : int;
   mutable next_tag : int;
   run_lens : int array;     (* consumer-private: lengths of a revoked run *)
+  hdr : bytes;              (* scratch of the one 16-byte header fetch *)
+  desc : bytes;             (* scratch of the one 8-byte descriptor fetch *)
+  mutable hdr_len : int; mutable hdr_info : int;  (* of the last header read *)
+  mutable payload_off : int;  (* payload offset [locate] resolved last *)
   counters : counters;
 }
 
@@ -126,6 +130,7 @@ let create ~region ~base ~slots ~positioning ~producer ~host_meter =
       next_desc = 0;
       next_tag = 0;
       run_lens = Array.make slots 0;
+      hdr = Bytes.create header_bytes; desc = Bytes.create 8; hdr_len = 0; hdr_info = 0; payload_off = 0;
       counters =
         {
           produced = 0;
@@ -178,21 +183,20 @@ let desc_off t d = t.base + t.lay.desc_off + (8 * (d land (max t.lay.desc_count 
 let ring_word_cost t ~amortized =
   if amortized then t.model.Cost.ring_burst_op else t.model.Cost.ring_op
 
-(* Single-fetch header read: one 16-byte pull, decoded privately. The tag
-   word is the producer's sequence stamp; no consumer decision uses it. *)
-let read_header ?(amortized = false) t actor slot =
-  charge t actor Cost.Ring (ring_word_cost t ~amortized);
-  let b =
-    match actor with
-    | Region.Guest -> Region.guest_read t.region ~off:(hdr_off t slot) ~len:header_bytes
-    | Region.Host -> Region.host_read t.region ~off:(hdr_off t slot) ~len:header_bytes
-  in
-  let state = Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF in
-  let len = Int32.to_int (Bytes.get_int32_le b 4) land 0xFFFFFFFF in
-  let info = Int32.to_int (Bytes.get_int32_le b 8) land 0xFFFFFFFF in
-  (state, len, info)
+let word b i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFFFFFF
 
-let write_word ?(amortized = false) t actor ~off v =
+(* Single-fetch header read: one 16-byte pull into the ring's scratch,
+   decoded at once — len and info into [hdr_len]/[hdr_info], the state
+   word returned. The tag word is the producer's sequence stamp; no
+   consumer decision uses it. *)
+let read_header t ~amortized actor slot =
+  charge t actor Cost.Ring (ring_word_cost t ~amortized);
+  Region.read_into t.region actor ~off:(hdr_off t slot) t.hdr;
+  t.hdr_len <- word t.hdr 4;
+  t.hdr_info <- word t.hdr 8;
+  word t.hdr 0
+
+let write_word t ~amortized actor ~off v =
   charge t actor Cost.Ring (ring_word_cost t ~amortized);
   Region.write_u32 t.region actor ~off v
 
@@ -216,10 +220,10 @@ let note_masked t ~raw confined =
 
 (* Skip a malformed slot (no error path): count it, hand it back EMPTY and
    move on. Progress is made; no message comes out. *)
-let skip_slot ?amortized t actor slot ~state =
+let skip_slot t ~amortized actor slot ~state =
   t.counters.state_skipped <- t.counters.state_skipped + 1;
   if Trace.on () then Trace.instant ~arg:state ~cat:Kind.l2 "slot-skip";
-  write_word ?amortized t actor ~off:(hdr_off t slot) state_empty;
+  write_word t ~amortized actor ~off:(hdr_off t slot) state_empty;
   t.cons_next <- t.cons_next + 1
 
 let private_buf ?pool len =
@@ -242,8 +246,7 @@ let produce_one t ~amortized payload =
   if len > t.lay.unit_size then invalid_arg "Ring.try_produce: payload larger than slot capacity";
   if len = 0 then invalid_arg "Ring.try_produce: messages carry at least one byte";
   let slot = t.prod_next land (t.slots - 1) in
-  let state, _, _ = read_header t ~amortized actor slot in
-  if state <> state_empty then begin
+  if read_header t ~amortized actor slot <> state_empty then begin
     t.counters.full_misses <- t.counters.full_misses + 1;
     false
   end
@@ -306,39 +309,36 @@ let try_produce_burst t frames =
   in
   go 0
 
-(* Resolve the payload location for a consumed slot, confining every
-   untrusted value by masking/clamping. *)
-let locate ?(amortized = false) t actor slot ~len ~info =
-  let clamp len cap =
-    charge t actor Cost.Check t.model.Cost.check;
-    if len > cap then begin
-      t.counters.len_clamped <- t.counters.len_clamped + 1;
-      if Trace.on () then Trace.instant ~arg:len ~cat:Kind.l2 "slot-clamp";
-      cap
-    end
-    else len
-  in
+(* Confine an untrusted length to the slot capacity: counted when moved. *)
+let clamp t actor len =
+  charge t actor Cost.Check t.model.Cost.check;
+  if len > t.lay.unit_size then begin
+    t.counters.len_clamped <- t.counters.len_clamped + 1;
+    if Trace.on () then Trace.instant ~arg:len ~cat:Kind.l2 "slot-clamp";
+    t.lay.unit_size
+  end
+  else len
+
+(* Resolve the payload location of the slot whose header was just read,
+   confining every untrusted value by masking/clamping. Returns the
+   confined length and leaves the payload offset in [payload_off]. *)
+let locate t ~amortized actor slot =
   match t.positioning with
   | Config.Inline _ ->
-      let len = clamp len t.lay.unit_size in
-      (unit_off t slot, len)
+      t.payload_off <- unit_off t slot;
+      clamp t actor t.hdr_len
   | Config.Pool _ ->
       charge t actor Cost.Check t.model.Cost.check;
-      let u = note_masked t ~raw:info (info land (t.lay.units - 1)) in
-      let len = clamp len t.lay.unit_size in
-      (unit_off t u, len)
+      let u = note_masked t ~raw:t.hdr_info (t.hdr_info land (t.lay.units - 1)) in
+      t.payload_off <- unit_off t u;
+      clamp t actor t.hdr_len
   | Config.Indirect _ ->
       charge t actor Cost.Check t.model.Cost.check;
-      let d = note_masked t ~raw:info (info land (t.lay.desc_count - 1)) in
+      let d = note_masked t ~raw:t.hdr_info (t.hdr_info land (t.lay.desc_count - 1)) in
       (* Single fetch of the descriptor. *)
       charge t actor Cost.Ring (ring_word_cost t ~amortized);
-      let db =
-        match actor with
-        | Region.Guest -> Region.guest_read t.region ~off:(desc_off t d) ~len:8
-        | Region.Host -> Region.host_read t.region ~off:(desc_off t d) ~len:8
-      in
-      let raw_off = Int32.to_int (Bytes.get_int32_le db 0) land 0xFFFFFFFF in
-      let dlen = Int32.to_int (Bytes.get_int32_le db 4) land 0xFFFFFFFF in
+      Region.read_into t.region actor ~off:(desc_off t d) t.desc;
+      let raw_off = word t.desc 0 in
       (* Confine the buffer offset: wrap into the arena, align down to a
          unit boundary. A hostile offset aliases a valid unit. *)
       charge t actor Cost.Check t.model.Cost.check;
@@ -346,8 +346,8 @@ let locate ?(amortized = false) t actor slot ~len ~info =
         note_masked t ~raw:raw_off
           (Bitops.align_down (raw_off land (t.lay.data_size - 1)) ~align:t.lay.unit_size)
       in
-      let len = clamp (min len dlen) t.lay.unit_size in
-      (t.base + t.lay.data_off + confined, len)
+      t.payload_off <- t.base + t.lay.data_off + confined;
+      clamp t actor (min t.hdr_len (word t.desc 4))
 
 (* One consume step. [Cr_skip] means a malformed slot was skipped and the
    cursor advanced — progress was made but no message came out. *)
@@ -356,25 +356,25 @@ type consume_result = Cr_empty | Cr_skip | Cr_frame of bytes
 let consume_one ?pool t ~amortized =
   let actor = consumer t in
   let slot = t.cons_next land (t.slots - 1) in
-  let state, len, info = read_header t ~amortized actor slot in
+  let state = read_header t ~amortized actor slot in
   if state = state_empty then begin
     empty_poll t;
     Cr_empty
   end
   else if state <> state_full then begin
-    skip_slot ~amortized t actor slot ~state;
+    skip_slot t ~amortized actor slot ~state;
     Cr_skip
   end
   else begin
-    let off, len = locate ~amortized t actor slot ~len ~info in
+    let len = locate t ~amortized actor slot in
     if len = 0 then begin
       (* A message carries at least one byte by contract: a zero-length
          claim is malformed, so the slot is skipped like any other. *)
-      skip_slot ~amortized t actor slot ~state;
+      skip_slot t ~amortized actor slot ~state;
       Cr_skip
     end
     else begin
-      let payload = read_payload ?pool t actor ~off ~len in
+      let payload = read_payload ?pool t actor ~off:t.payload_off ~len in
       write_word t ~amortized actor ~off:(hdr_off t slot) state_empty;
       t.cons_next <- t.cons_next + 1;
       t.counters.consumed <- t.counters.consumed + 1;
@@ -424,9 +424,9 @@ let try_consume_revoke_burst ?pool ?(max = 64) t =
     if k >= limit then k
     else begin
       let slot = start + k in
-      let state, len, info = read_header ~amortized:(k > 0) t actor slot in
+      let state = read_header t ~amortized:(k > 0) actor slot in
       let len =
-        if state = state_full then snd (locate t actor slot ~len ~info)
+        if state = state_full then locate t ~amortized:false actor slot
         else begin
           (* A non-FULL header that ends a run pays its check like the
              rest of the run; at the head it pays none, as on the copy path. *)
@@ -440,7 +440,7 @@ let try_consume_revoke_burst ?pool ?(max = 64) t =
       end
       else begin
         if k = 0 then
-          if state = state_empty then empty_poll t else skip_slot t actor slot ~state;
+          if state = state_empty then empty_poll t else skip_slot t ~amortized:false actor slot ~state;
         k
       end
     end

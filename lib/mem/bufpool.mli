@@ -4,7 +4,8 @@
     sub-viewed, and frame consumers require exact-length buffers);
     retention is capped per power-of-two size class. In steady state —
     traffic repeating a bounded set of frame sizes — every acquire is a
-    reuse and the pool allocates nothing per frame. *)
+    reuse and the pool allocates nothing per frame: a warm acquire or
+    recycle is a short chain walk and an array-stack pop or push. *)
 
 type stats = {
   mutable fresh : int;     (** acquires that had to allocate *)

@@ -39,6 +39,7 @@ type t = {
   data : bytes;
   page_size : int;
   prot : prot array;
+  mutable private_pages : int;  (* pages in [prot] that are [Private] *)
   meter : Cost.meter;
   model : Cost.model;
   mutable host_write_hook : (off:int -> len:int -> unit) option;
@@ -72,6 +73,7 @@ let create ?(page_size = 4096) ?(prot = Shared) ?(model = Cost.default) ?meter ~
     data = Bytes.make size '\000';
     page_size;
     prot = Array.make pages prot;
+    private_pages = (match prot with Private -> pages | Shared -> 0);
     meter = (match meter with Some m -> m | None -> Cost.meter ());
     model;
     host_write_hook = None;
@@ -97,11 +99,14 @@ let prot_of_page t page =
 
 let range_ok t off len = off >= 0 && len >= 0 && off + len <= Bytes.length t.data
 
-(* A range is host-accessible only if every page it touches is shared. *)
+let rec pages_shared t p last = p > last || (t.prot.(p) = Shared && pages_shared t (p + 1) last)
+
+(* A range is host-accessible only if every page it touches is shared.
+   With no private page anywhere, every in-bounds range is: O(1). *)
 let range_shared t off len =
-  let first = page_of t off and last = page_of t (off + len - 1) in
-  let rec go p = p > last || (t.prot.(p) = Shared && go (p + 1)) in
-  len = 0 || go first
+  len = 0
+  || (t.private_pages = 0 && range_ok t off len)
+  || pages_shared t (page_of t off) (page_of t (off + len - 1))
 
 let check_access t actor off len ~write =
   if not (range_ok t off len) then
@@ -136,18 +141,25 @@ let san_note t ~off ~len =
         s.s_fetches;
       s.s_fetches <- (off, len, snap) :: s.s_fetches
 
-(* The read path proper, after [check_access] has passed. The sanitizer
-   captures the fetch first; the read hook fires after the value is
-   copied out, so the *next* fetch observes any mutation the hook
-   performs. *)
-let fetch t actor ~off dst =
-  let len = Bytes.length dst in
+(* The read path proper, after [check_access] has passed: a guest fetch
+   of shared memory is watched. The sanitizer captures it before the
+   bytes are taken ([watch]); the read hook fires after ([fetched]), so
+   the *next* fetch observes any mutation the hook performs. *)
+let watch t actor ~off ~len =
   let watched =
     match actor with Guest -> len > 0 && range_shared t off len | Host -> false
   in
   if watched then san_note t ~off ~len;
-  Bytes.blit t.data off dst 0 len;
+  watched
+
+let fetched t ~off ~len watched =
   match t.guest_read_hook with Some hook when watched -> hook ~off ~len | _ -> ()
+
+let fetch t actor ~off dst =
+  let len = Bytes.length dst in
+  let watched = watch t actor ~off ~len in
+  Bytes.blit t.data off dst 0 len;
+  fetched t ~off ~len watched
 
 (* [read_into] fills a caller-provided buffer — the allocation-free
    consume path; [read] checks before allocating so a bad length faults
@@ -162,13 +174,26 @@ let read t actor ~off ~len =
   fetch t actor ~off dst;
   dst
 
-let write t actor ~off src =
-  let len = Bytes.length src in
+(* A word is taken out of [t.data] in place by [get], with [read]'s
+   checks and fetch semantics. *)
+let read_word t actor ~off ~len get =
+  check_access t actor off len ~write:false;
+  let watched = watch t actor ~off ~len in
+  let v = get t.data off in
+  fetched t ~off ~len watched;
+  v
+
+(* [set] stores [v] into [t.data] in place; a Host write then fires the
+   write hook. *)
+let write_word t actor ~off ~len set v =
   check_access t actor off len ~write:true;
-  Bytes.blit src 0 t.data off len;
+  set t.data off v;
   match (actor, t.host_write_hook) with
   | Host, Some hook -> hook ~off ~len
   | _ -> ()
+
+let blit_in data off src = Bytes.blit src 0 data off (Bytes.length src)
+let write t actor ~off src = write_word t actor ~off ~len:(Bytes.length src) blit_in src
 
 let guest_read t ~off ~len = read t Guest ~off ~len
 let guest_write t ~off src = write t Guest ~off src
@@ -178,41 +203,19 @@ let guest_read_into t ~off dst = read_into t Guest ~off dst
 let host_read_into t ~off dst = read_into t Host ~off dst
 
 (* Integer accessors used by the ring/descriptor layers. All are
-   little-endian, matching the virtio wire format. *)
+   little-endian, matching the virtio wire format, and work on [t.data]
+   in place: no per-word buffer. *)
 
-let read_u8 t actor ~off = Char.code (Bytes.get (read t actor ~off ~len:1) 0)
-
-let read_u16 t actor ~off =
-  let b = read t actor ~off ~len:2 in
-  Bytes.get_uint16_le b 0
-
-let read_u32 t actor ~off =
-  let b = read t actor ~off ~len:4 in
-  Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF
-
-let read_u64 t actor ~off =
-  let b = read t actor ~off ~len:8 in
-  Bytes.get_int64_le b 0
-
-let write_u8 t actor ~off v =
-  let b = Bytes.create 1 in
-  Bytes.set b 0 (Char.chr (v land 0xFF));
-  write t actor ~off b
-
-let write_u16 t actor ~off v =
-  let b = Bytes.create 2 in
-  Bytes.set_uint16_le b 0 (v land 0xFFFF);
-  write t actor ~off b
-
-let write_u32 t actor ~off v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int (v land 0xFFFFFFFF));
-  write t actor ~off b
-
-let write_u64 t actor ~off v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  write t actor ~off b
+let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
+let read_u8 t actor ~off = read_word t actor ~off ~len:1 Bytes.get_uint8
+let read_u16 t actor ~off = read_word t actor ~off ~len:2 Bytes.get_uint16_le
+let read_u32 t actor ~off = read_word t actor ~off ~len:4 get_u32
+let read_u64 t actor ~off = read_word t actor ~off ~len:8 Bytes.get_int64_le
+let write_u8 t actor ~off v = write_word t actor ~off ~len:1 Bytes.set_uint8 (v land 0xFF)
+let write_u16 t actor ~off v = write_word t actor ~off ~len:2 Bytes.set_uint16_le (v land 0xFFFF)
+let write_u32 t actor ~off v = write_word t actor ~off ~len:4 set_u32 v
+let write_u64 t actor ~off v = write_word t actor ~off ~len:8 Bytes.set_int64_le v
 
 (* Page sharing / revocation. Unsharing is the paper's §3.2 "revocation"
    primitive: the guest reclaims a page from the host on the fly instead of
@@ -223,6 +226,7 @@ let share_page t page =
     invalid_arg "Region.share_page: bad page";
   if t.prot.(page) <> Shared then begin
     t.prot.(page) <- Shared;
+    t.private_pages <- t.private_pages - 1;
     Cost.charge t.meter Cost.Share t.model.Cost.page_share
   end
 
@@ -231,6 +235,7 @@ let unshare_page t page =
     invalid_arg "Region.unshare_page: bad page";
   if t.prot.(page) <> Private then begin
     t.prot.(page) <- Private;
+    t.private_pages <- t.private_pages + 1;
     Cost.charge t.meter Cost.Unshare t.model.Cost.page_unshare
   end
 
@@ -248,6 +253,7 @@ let share_range t ~off ~len =
         incr changed
       end
     done;
+    t.private_pages <- t.private_pages - !changed;
     if !changed > 0 then
       Cost.charge t.meter Cost.Share
         (t.model.Cost.page_share + ((!changed - 1) * t.model.Cost.page_share_extra))
@@ -263,6 +269,7 @@ let unshare_range t ~off ~len =
         incr changed
       end
     done;
+    t.private_pages <- t.private_pages + !changed;
     if !changed > 0 then
       Cost.charge t.meter Cost.Unshare
         (t.model.Cost.page_unshare + ((!changed - 1) * t.model.Cost.page_unshare_extra))

@@ -54,7 +54,9 @@ val page_of : t -> int -> int
 val prot_of_page : t -> int -> prot
 
 val range_shared : t -> int -> int -> bool
-(** True iff every page the range touches is shared. *)
+(** True iff every page the range touches is shared. O(1) for an
+    in-bounds range while the region has no private page (the region
+    counts its private pages); otherwise a walk over the range's pages. *)
 
 (** {1 Access} — each raises {!Fault} on a protection or bounds violation. *)
 
@@ -69,6 +71,18 @@ val guest_read_into : t -> off:int -> bytes -> unit
     {!guest_read}, without allocating. *)
 
 val host_read_into : t -> off:int -> bytes -> unit
+
+val read_into : t -> actor -> off:int -> bytes -> unit
+(** {!guest_read_into} or {!host_read_into} by [actor]: lets a wrapper
+    that serves both sides (the cionet ring's single-fetch header read)
+    fetch into its own scratch buffer. *)
+
+(** Little-endian word accessors. They check like {!guest_read} /
+    {!host_write} and keep the same fetch semantics — a guest read of
+    shared memory is captured by the sanitizer first and fires the read
+    hook after; a Host write fires the write hook with [~len] the word
+    size — but work on the region's bytes in place: no per-word buffer,
+    and no allocation except the boxed [int64] of {!read_u64}. *)
 
 val read_u8 : t -> actor -> off:int -> int
 val read_u16 : t -> actor -> off:int -> int

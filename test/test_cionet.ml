@@ -649,7 +649,7 @@ let echo_round () =
 let test_guest_minor_words_bounded () =
   (* The real-allocation bound behind the zero-fresh claim above: minor
      words the guest side allocates per echoed frame, host simulator
-     excluded. Measured 82.7 in native code. *)
+     excluded. Measured 10.6 in native code. *)
   let _, round = echo_round () in
   let words = ref 0. in
   let guest f =
@@ -662,8 +662,8 @@ let test_guest_minor_words_bounded () =
   let rounds = 200 in
   for _ = 1 to rounds do round ~guest done;
   let per_frame = !words /. float_of_int (rounds * 16) in
-  if per_frame > 84. then
-    Alcotest.failf "guest allocates %.1f minor words per frame (bound 84)" per_frame
+  if per_frame > 16. then
+    Alcotest.failf "guest allocates %.1f minor words per frame (bound 16)" per_frame
 
 let test_heap_flat_over_long_run () =
   (* Memory stays bounded however long the datapath runs: live words after

@@ -127,6 +127,48 @@ let test_word_accessors () =
   Region.write_u8 r Region.Guest ~off:16 0xAB;
   Alcotest.(check int) "u8" 0xAB (Region.read_u8 r Region.Guest ~off:16)
 
+let test_word_accessor_semantics () =
+  (* In place, but with [read]'s fetch semantics: sanitizer capture,
+     read hook on guest reads of shared memory, write hook on Host
+     writes. *)
+  let doubles read =
+    let r = make () in
+    Region.sanitizer_enable r;
+    read r;
+    read r;
+    (Region.sanitizer_stats r).Region.double_fetches
+  in
+  Alcotest.(check (pair int int)) "two reads, two read_u32 of one word: one double fetch each"
+    (1, 1)
+    ( doubles (fun r -> ignore (Region.guest_read r ~off:8 ~len:4)),
+      doubles (fun r -> ignore (Region.read_u32 r Region.Guest ~off:8)) );
+  let r = make () in
+  let writes = ref [] and reads = ref [] in
+  Region.set_host_write_hook r (Some (fun ~off ~len -> writes := (off, len) :: !writes));
+  Region.set_guest_read_hook r (Some (fun ~off ~len -> reads := (off, len) :: !reads));
+  Region.write_u32 r Region.Host ~off:12 7;
+  Region.write_u32 r Region.Guest ~off:16 7;
+  Alcotest.(check (list (pair int int))) "host write_u32 fires the write hook" [ (12, 4) ] !writes;
+  Alcotest.(check int) "value landed" 7 (Region.read_u32 r Region.Guest ~off:12);
+  reads := [];
+  ignore (Region.read_u32 r Region.Host ~off:20);
+  ignore (Region.read_u32 r Region.Guest ~off:24);
+  Alcotest.(check (list (pair int int))) "guest read_u32 fires the read hook" [ (24, 4) ] !reads
+
+let test_word_accessors_allocation_free () =
+  let r = make () in
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 4_999 do
+    let off = 4 * (i land 1023) in
+    Region.write_u32 r (if i land 1 = 0 then Region.Guest else Region.Host) ~off i;
+    sum := !sum + Region.read_u32 r (if i land 2 = 0 then Region.Guest else Region.Host) ~off
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !sum);
+  if words > 64. then
+    Alcotest.failf "10k read_u32 + write_u32 allocated %.0f minor words (bound 64)" words
+
 (* --- pool --------------------------------------------------------- *)
 
 let make_pool metadata =
@@ -245,6 +287,17 @@ let test_bufpool_rejects_nonpositive () =
     (Invalid_argument "Bufpool.acquire: length must be positive") (fun () ->
       ignore (Bufpool.acquire p (-3)))
 
+let test_bufpool_warm_cycle_allocates_nothing () =
+  let p = Bufpool.create () in
+  Bufpool.recycle p (Bufpool.acquire p 1514);
+  Bufpool.recycle p (Bufpool.acquire p 60);
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1000 do
+    Bufpool.recycle p (Bufpool.acquire p (if i land 1 = 0 then 1514 else 60))
+  done;
+  Alcotest.(check (float 0.)) "no minor words" 0. (Gc.minor_words () -. w0);
+  Alcotest.(check int) "one fresh per length" 2 (Bufpool.stats p).Bufpool.fresh
+
 let prop_bufpool_acquire_is_exact_and_balanced =
   QCheck.Test.make ~name:"bufpool acquires are exact-length; stats balance" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 40) (int_range 1 4096))
@@ -258,6 +311,55 @@ let prop_bufpool_acquire_is_exact_and_balanced =
       && s.Bufpool.fresh + s.Bufpool.reused = 2 * List.length lens
       && s.Bufpool.recycled + s.Bufpool.dropped = List.length lens
       && Bufpool.retained p >= 0)
+
+(* Property: however a sequence of share/unshare calls built the page
+   map, of a region created Shared or Private, the private-page count
+   keeps [range_shared] equal to a per-page walk, and Host access that
+   touches a private page still faults. *)
+let prop_private_page_count =
+  let pages = 5 and page = 4096 in
+  let size = pages * page in
+  let range =
+    QCheck.Gen.(
+      int_range 0 (size - 1) >>= fun off -> map (fun len -> (off, len)) (int_range 0 (size - off)))
+  in
+  let ops = QCheck.Gen.(list_size (int_range 1 16) (pair (int_range 0 3) range)) in
+  QCheck.Test.make ~name:"region: private-page count keeps range checks exact" ~count:200
+    (QCheck.make QCheck.Gen.(triple bool ops (list_repeat 8 range)))
+    (fun (start_private, ops, probes) ->
+      let prot = if start_private then Region.Private else Region.Shared in
+      let r = Region.create ~prot ~name:"prop" size in
+      let private_page p = Region.prot_of_page r p = Region.Private in
+      let walk off len =
+        let first = off / page and last = (off + len - 1) / page in
+        len = 0 || not (List.exists private_page (List.init (last - first + 1) (( + ) first)))
+      in
+      let host_faults f =
+        match f () with () -> false | exception Region.Fault (Region.Host_access_private _) -> true
+      in
+      let consistent () =
+        List.for_all
+          (fun (off, len) -> Region.range_shared r off len = walk off len)
+          ((0, size) :: probes)
+        && List.for_all
+             (fun p ->
+               let off = p * page and priv = private_page p in
+               let span = max 0 (off - 2) in
+               host_faults (fun () -> ignore (Region.host_read r ~off ~len:1)) = priv
+               && host_faults (fun () -> Region.write_u32 r Region.Host ~off 0) = priv
+               && host_faults (fun () -> ignore (Region.read_u32 r Region.Host ~off:span))
+                  = (priv || private_page (span / page)))
+             (List.init pages Fun.id)
+      in
+      List.for_all
+        (fun (kind, (off, len)) ->
+          (match kind with
+          | 0 -> Region.share_page r (off / page)
+          | 1 -> Region.unshare_page r (off / page)
+          | 2 -> Region.share_range r ~off ~len
+          | _ -> Region.unshare_range r ~off ~len);
+          consistent ())
+        ops)
 
 (* --- runtime double-fetch sanitizer ----------------------------------- *)
 
@@ -359,6 +461,10 @@ let suite =
     Alcotest.test_case "region: copy-in charged" `Quick test_copy_in_charges;
     Alcotest.test_case "region: guest-read race hook" `Quick test_guest_read_hook_fires;
     Alcotest.test_case "region: word accessors" `Quick test_word_accessors;
+    Alcotest.test_case "region: word accessors keep fetch semantics" `Quick
+      test_word_accessor_semantics;
+    Alcotest.test_case "region: word accessors allocate nothing" `Quick
+      test_word_accessors_allocation_free;
     Alcotest.test_case "pool: alloc/free cycle" `Quick test_pool_alloc_free_cycle;
     Alcotest.test_case "pool: unique allocation" `Quick test_pool_no_double_alloc;
     Alcotest.test_case "pool: free validation" `Quick test_pool_free_validation;
@@ -372,6 +478,8 @@ let suite =
     Alcotest.test_case "bufpool: class cap drops overflow" `Quick test_bufpool_class_cap_drops;
     Alcotest.test_case "bufpool: non-positive length rejected" `Quick
       test_bufpool_rejects_nonpositive;
+    Alcotest.test_case "bufpool: warm cycle allocates nothing" `Quick
+      test_bufpool_warm_cycle_allocates_nothing;
     Alcotest.test_case "sanitizer: off by default, counts nothing" `Quick
       test_sanitizer_off_counts_nothing;
     Alcotest.test_case "sanitizer: overlapping fetch counted" `Quick
@@ -385,4 +493,5 @@ let suite =
     Helpers.qtest prop_pool_alloc_unique;
     Helpers.qtest prop_masked_pool_always_in_bounds;
     Helpers.qtest prop_bufpool_acquire_is_exact_and_balanced;
+    Helpers.qtest prop_private_page_count;
   ]
