@@ -133,12 +133,13 @@ let test_crypto_primitives () =
       (Staged.stage (fun () -> ignore (Cio_crypto.Aead.seal ~key ~nonce ~aad:Bytes.empty data)));
   ]
 
-(* One run = seal a 16 KiB record and open it again: the record cipher
-   on the largest record the L5 channel carries. *)
-let test_aead_seal_open () =
-  let data = Bytes.make 16384 'a' in
+(* One run = seal a record of [len] bytes and open it again: the record
+   cipher on the largest record the L5 channel carries (16 KiB), and its
+   fixed cost per record (64 B). *)
+let test_aead_seal_open len name =
+  let data = Bytes.make len 'a' in
   let key = Bytes.make 32 'k' and nonce = Bytes.make 12 'n' in
-  Test.make ~name:"aead-seal-open-16KiB"
+  Test.make ~name:("aead-seal-open-" ^ name)
     (Staged.stage (fun () ->
          let sealed = Cio_crypto.Aead.seal ~key ~nonce ~aad:Bytes.empty data in
          ignore (Cio_crypto.Aead.open_ ~key ~nonce ~aad:Bytes.empty sealed)))
@@ -267,7 +268,8 @@ let micro_tests ?(smoke = false) () =
       test_ring_burst (Cio_cionet.Config.Inline { data_capacity = 4096 }) "inline" ~depth:64;
       test_overload_admission ();
       test_bufpool_cycle ();
-      test_aead_seal_open ();
+      test_aead_seal_open 16384 "16KiB";
+      test_aead_seal_open 64 "64B";
       test_chacha20_xor ();
       test_tcp_transfer ();
     ]

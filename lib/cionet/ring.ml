@@ -93,10 +93,11 @@ type t = {
   model : Cost.model;
   mutable prod_next : int;  (* producer-private cursor *)
   mutable cons_next : int;  (* consumer-private cursor *)
-  (* Producer-private payload allocator (pool / indirect modes): unit
-     bindings per ring slot, reclaimed lazily when the slot is reused. *)
-  free_units : int Queue.t;
-  bindings : int option array;
+  (* Producer-private payload allocator (pool / indirect modes): a stack of
+     free units, and each slot's unit (-1: none), reclaimed on slot reuse. *)
+  free_units : int array;
+  mutable free_count : int;
+  bindings : int array;
   mutable next_desc : int;
   mutable next_tag : int;
   run_lens : int array;     (* consumer-private: lengths of a revoked run *)
@@ -112,44 +113,36 @@ let create ~region ~base ~slots ~positioning ~producer ~host_meter =
   if base + lay.total > Region.size region then invalid_arg "Ring.create: does not fit in region";
   if base mod max (Region.page_size region) 1 <> 0 then
     invalid_arg "Ring.create: base must be page-aligned";
-  let t =
-    {
-      region;
-      base;
-      slots;
-      lay;
-      positioning;
-      producer;
-      guest_meter = Region.meter region;
-      host_meter;
-      model = Region.model region;
-      prod_next = 0;
-      cons_next = 0;
-      free_units = Queue.create ();
-      bindings = Array.make slots None;
-      next_desc = 0;
-      next_tag = 0;
-      run_lens = Array.make slots 0;
-      hdr = Bytes.create header_bytes; desc = Bytes.create 8; hdr_len = 0; hdr_info = 0; payload_off = 0;
-      counters =
-        {
-          produced = 0;
-          consumed = 0;
-          full_misses = 0;
-          empty_polls = 0;
-          len_clamped = 0;
-          index_masked = 0;
-          state_skipped = 0;
-        };
-    }
-  in
-  (match positioning with
-  | Config.Inline _ -> ()
-  | Config.Pool _ | Config.Indirect _ ->
-      for u = 0 to lay.units - 1 do
-        Queue.add u t.free_units
-      done);
-  t
+  {
+    region;
+    base;
+    slots;
+    lay;
+    positioning;
+    producer;
+    guest_meter = Region.meter region;
+    host_meter;
+    model = Region.model region;
+    prod_next = 0;
+    cons_next = 0;
+    free_units = Array.init lay.units (fun u -> lay.units - 1 - u);
+    free_count = lay.units;
+    bindings = Array.make slots (-1);
+    next_desc = 0;
+    next_tag = 0;
+    run_lens = Array.make slots 0;
+    hdr = Bytes.create header_bytes; desc = Bytes.create 8; hdr_len = 0; hdr_info = 0; payload_off = 0;
+    counters =
+      {
+        produced = 0;
+        consumed = 0;
+        full_misses = 0;
+        empty_polls = 0;
+        len_clamped = 0;
+        index_masked = 0;
+        state_skipped = 0;
+      };
+  }
 
 let counters t = t.counters
 let slots t = t.slots
@@ -254,29 +247,33 @@ let produce_one t ~amortized payload =
     (* Reclaim the payload unit the slot was last bound to: the "free"
        message is the slot's return to EMPTY, seen here on reuse. The
        binding is overwritten below whenever a unit is taken. *)
-    (match t.bindings.(slot) with Some u -> Queue.add u t.free_units | None -> ());
+    let u = t.bindings.(slot) in
+    if u >= 0 then begin t.free_units.(t.free_count) <- u; t.free_count <- t.free_count + 1 end;
     let info =
       match t.positioning with
       | Config.Inline _ ->
           write_payload t actor ~off:(unit_off t slot) payload;
           0
-      | Config.Pool _ | Config.Indirect _ -> (
-          match Queue.take_opt t.free_units with
-          | None ->
-              t.counters.full_misses <- t.counters.full_misses + 1;
-              -1
-          | Some u -> (
-              t.bindings.(slot) <- Some u;
-              write_payload t actor ~off:(unit_off t u) payload;
-              match t.positioning with
-              | Config.Indirect _ ->
-                  let d = t.next_desc land (t.lay.desc_count - 1) in
-                  t.next_desc <- t.next_desc + 1;
-                  write_word t ~amortized actor ~off:(desc_off t d)
-                    (unit_off t u - (t.base + t.lay.data_off));
-                  write_word t ~amortized actor ~off:(desc_off t d + 4) len;
-                  d
-              | _ -> u))
+      | Config.Pool _ | Config.Indirect _ ->
+          if t.free_count = 0 then begin
+            t.counters.full_misses <- t.counters.full_misses + 1;
+            -1
+          end
+          else begin
+            t.free_count <- t.free_count - 1;
+            let u = t.free_units.(t.free_count) in
+            t.bindings.(slot) <- u;
+            write_payload t actor ~off:(unit_off t u) payload;
+            match t.positioning with
+            | Config.Indirect _ ->
+                let d = t.next_desc land (t.lay.desc_count - 1) in
+                t.next_desc <- t.next_desc + 1;
+                write_word t ~amortized actor ~off:(desc_off t d)
+                  (unit_off t u - (t.base + t.lay.data_off));
+                write_word t ~amortized actor ~off:(desc_off t d + 4) len;
+                d
+            | _ -> u
+          end
     in
     if info < 0 then false
     else begin

@@ -1,4 +1,5 @@
-(** ChaCha20-Poly1305 AEAD (RFC 8439 §2.8). *)
+(** ChaCha20-Poly1305 AEAD (RFC 8439 §2.8). Sealing and opening allocate
+    no memory per block. *)
 
 val tag_len : int
 val key_len : int

@@ -9,7 +9,7 @@
 type t = {
   r0 : int; r1 : int; r2 : int; r3 : int; r4 : int;  (* clamped key limbs *)
   s1 : int; s2 : int; s3 : int; s4 : int;            (* 5 * r1 .. 5 * r4 *)
-  pad : int array;              (* final addend, 4 x 32-bit words *)
+  pad0 : int; pad1 : int; pad2 : int; pad3 : int;  (* final addend s, 32-bit words *)
   mutable h0 : int; mutable h1 : int; mutable h2 : int; mutable h3 : int; mutable h4 : int;
   buf : bytes;                  (* staged partial block *)
   mutable fill : int;
@@ -18,14 +18,15 @@ type t = {
 let mask26 = (1 lsl 26) - 1
 let mask32 = 0xFFFF_FFFF
 let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land mask32
+let sel m h g = (h land lnot m) lor (g land mask26 land m)
 
-let init ~key =
-  if Bytes.length key <> 32 then invalid_arg "Poly1305.init: key must be 32 bytes";
+let init key ~off =
+  if off < 0 || off > Bytes.length key - 32 then invalid_arg "Poly1305.init: key must be 32 bytes";
   (* Clamp r per the RFC. *)
-  let k0 = u32 key 0 land 0x0FFFFFFF in
-  let k1 = u32 key 4 land 0x0FFFFFFC in
-  let k2 = u32 key 8 land 0x0FFFFFFC in
-  let k3 = u32 key 12 land 0x0FFFFFFC in
+  let k0 = u32 key off land 0x0FFFFFFF in
+  let k1 = u32 key (off + 4) land 0x0FFFFFFC in
+  let k2 = u32 key (off + 8) land 0x0FFFFFFC in
+  let k3 = u32 key (off + 12) land 0x0FFFFFFC in
   let r1 = ((k0 lsr 26) lor (k1 lsl 6)) land mask26 in
   let r2 = ((k1 lsr 20) lor (k2 lsl 12)) land mask26 in
   let r3 = ((k2 lsr 14) lor (k3 lsl 18)) land mask26 in
@@ -33,7 +34,8 @@ let init ~key =
   {
     r0 = k0 land mask26; r1; r2; r3; r4;
     s1 = 5 * r1; s2 = 5 * r2; s3 = 5 * r3; s4 = 5 * r4;
-    pad = [| u32 key 16; u32 key 20; u32 key 24; u32 key 28 |];
+    pad0 = u32 key (off + 16); pad1 = u32 key (off + 20);
+    pad2 = u32 key (off + 24); pad3 = u32 key (off + 28);
     h0 = 0; h1 = 0; h2 = 0; h3 = 0; h4 = 0;
     buf = Bytes.create 16;
     fill = 0;
@@ -89,9 +91,7 @@ let feed t src ~pos ~len =
     t.fill <- t.fill + (stop - !pos)
   end
 
-let feed_bytes t b = feed t b ~pos:0 ~len:(Bytes.length b)
-
-let finish t =
+let finish t out ~off =
   if t.fill > 0 then begin
     (* The final partial block carries its own 0x01 pad byte. *)
     Bytes.set t.buf t.fill '\001';
@@ -113,17 +113,12 @@ let finish t =
   let g3 = h3 + (g2 lsr 26) in
   let g4 = h4 + (g3 lsr 26) in
   (* If h + 5 overflowed 2^130, g = h - p: select it without branching. *)
-  let use_g = -(g4 lsr 26) in
-  let sel h g = (h land lnot use_g) lor (g land mask26 land use_g) in
-  let h0 = sel h0 g0 and h1 = sel h1 g1 and h2 = sel h2 g2 and h3 = sel h3 g3 and h4 = sel h4 g4 in
+  let m = -(g4 lsr 26) in
+  let h0 = sel m h0 g0 and h1 = sel m h1 g1 and h2 = sel m h2 g2 and h3 = sel m h3 g3 and h4 = sel m h4 g4 in
   (* Serialise to 128 bits and add s with 32-bit carries. *)
-  let f0 = ((h0 lor (h1 lsl 26)) land mask32) + t.pad.(0) in
-  let f1 = (((h1 lsr 6) lor (h2 lsl 20)) land mask32) + t.pad.(1) + (f0 lsr 32) in
-  let f2 = (((h2 lsr 12) lor (h3 lsl 14)) land mask32) + t.pad.(2) + (f1 lsr 32) in
-  let f3 = (((h3 lsr 18) lor (h4 lsl 8)) land mask32) + t.pad.(3) + (f2 lsr 32) in
-  let out = Bytes.create 16 in
-  Bytes.set_int32_le out 0 (Int32.of_int f0);
-  Bytes.set_int32_le out 4 (Int32.of_int f1);
-  Bytes.set_int32_le out 8 (Int32.of_int f2);
-  Bytes.set_int32_le out 12 (Int32.of_int f3);
-  out
+  let f0 = ((h0 lor (h1 lsl 26)) land mask32) + t.pad0 in
+  let f1 = (((h1 lsr 6) lor (h2 lsl 20)) land mask32) + t.pad1 + (f0 lsr 32) in
+  let f2 = (((h2 lsr 12) lor (h3 lsl 14)) land mask32) + t.pad2 + (f1 lsr 32) in
+  let f3 = (((h3 lsr 18) lor (h4 lsl 8)) land mask32) + t.pad3 + (f2 lsr 32) in
+  Bytes.set_int64_le out off Int64.(logor (of_int (f0 land mask32)) (shift_left (of_int f1) 32));
+  Bytes.set_int64_le out (off + 8) Int64.(logor (of_int (f2 land mask32)) (shift_left (of_int f3) 32))

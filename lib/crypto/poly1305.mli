@@ -2,11 +2,11 @@
 
 type t
 
-val init : key:bytes -> t
-(** [key] is the 32-byte one-time key (r || s). *)
+val init : bytes -> off:int -> t
+(** The 32-byte one-time key (r || s) is read from the buffer at [off]. *)
 
 val feed : t -> bytes -> pos:int -> len:int -> unit
-val feed_bytes : t -> bytes -> unit
 
-val finish : t -> bytes
-(** 16-byte tag. The state must not be reused afterwards. *)
+val finish : t -> bytes -> off:int -> unit
+(** Writes the 16-byte tag to the buffer at [off]. The state must not be
+    reused afterwards. *)

@@ -56,14 +56,8 @@ let rekey t =
 
 (* Per-record nonce: IV xor big-endian sequence number (RFC 8446 §5.3). *)
 let nonce ~iv ~seq =
-  let n = Bytes.copy iv in
-  let len = Bytes.length n in
-  let seqb = Bytes.create 8 in
-  Bytes.set_int64_be seqb 0 seq;
-  for i = 0 to 7 do
-    let j = len - 8 + i in
-    Bytes.set n j (Char.chr (Char.code (Bytes.get n j) lxor Char.code (Bytes.get seqb i)))
-  done;
+  let n = Bytes.copy iv and j = Bytes.length iv - 8 in
+  Bytes.set_int64_be n j (Int64.logxor (Bytes.get_int64_be n j) seq);
   n
 
 let finished_mac ~finished_key ~transcript = Hmac.digest_bytes ~key:finished_key transcript
